@@ -4,36 +4,34 @@
  * benchmark's stream be sharded across threads (paper Table 6 shows
  * functional warming dominating SMARTS runtime, and warming is
  * inherently serial — so a single long benchmark bottlenecks even a
- * perfectly parallel experiment grid, which is exactly what PR 2's
- * ExperimentRunner left on the table).
+ * perfectly parallel experiment grid).
  *
  * An ArchCheckpoint serializes the full warm simulator state:
  * architectural (registers, PC, data image) plus microarchitectural
- * (caches, TLBs, branch predictor, fixed-point accumulators). A
- * CheckpointLibrary plans the shard split of a sampling run's unit
- * grid and captures each shard's resume checkpoint with a single
- * streaming pass that applies the serial schedule's EXACT state
- * transitions — fastForward over the warming gaps,
- * SimSession::warmAsDetailed over the regions the serial run
- * simulates in detail — so a shard resumed from its checkpoint
- * measures every unit bit-identically to the serial run.
+ * (caches, TLBs, branch predictor, fixed-point accumulators).
+ * ShardLibrary<Checkpoint> is the one shard-library container of
+ * every session tier: it plans the shard split of a sampling run's
+ * unit grid and captures each shard's resume checkpoint in one pass
+ * of the schedule walker (core/schedule.hh) whose windows apply
+ * SimSession::warmAsDetailed — the serial run's exact state
+ * transitions without timing — so a shard resumed from its
+ * checkpoint measures every unit bit-identically to the serial run.
+ * CheckpointLibrary (solo, this file) and mp::MixLibrary (co-run)
+ * supply only their file header/identity block and the session they
+ * snapshot and restore.
  *
  * The capture pass costs roughly a functional-warming pass of the
- * stream, far less than the serial run's warming + detailed bill,
- * and it pipelines: shard s starts executing the moment checkpoint
- * s is captured, while the capture pass streams on toward
- * checkpoint s+1.
+ * stream and pipelines: shard s starts the moment checkpoint s is
+ * captured (core/shard_executor.hh).
  *
  * Libraries are durable: save()/load() move them through a
  * versioned, endian-explicit, checksummed binary format
  * (docs/checkpoint-format.md) keyed by LibraryKey — benchmark,
  * sampling design, and the warm-state geometry hash of the machine
- * config — so a library captured once serves every later process:
- * the two-pass procedure's second run, repeated design studies, and
- * distributed runners. buildMulti() captures the per-config
- * libraries of an N-config study in ONE MultiSession streaming
- * pass. CheckpointStore (core/checkpoint_store.hh) is the directory
- * cache that runSharded/estimateSharded consult before capturing.
+ * config. buildMulti() captures the per-config libraries of an
+ * N-config study in ONE MultiSession streaming pass.
+ * CheckpointStore (core/checkpoint_store.hh) is the directory cache
+ * that runSharded/estimateSharded consult before capturing.
  */
 
 #ifndef SMARTS_CORE_CHECKPOINT_HH
@@ -47,6 +45,7 @@
 
 #include "core/multi_session.hh"
 #include "core/sampler.hh"
+#include "core/schedule.hh"
 #include "core/session.hh"
 #include "util/binary_io.hh"
 #include "util/logging.hh"
@@ -56,10 +55,10 @@ namespace smarts::core {
 
 /**
  * On-disk library format version (docs/checkpoint-format.md).
- * Version 2 adds a FLAVOR byte after the endianness marker so one
- * `.smck` container carries either solo (flavor 0) or co-run mix
- * (flavor 1, mp::MixLibrary) state; version-1 files — always solo —
- * still load (the v1→v2 migration path, tests/test_mix.cc).
+ * Version 2 carries a FLAVOR byte after the endianness marker so one
+ * `.smck` container holds either solo (flavor 0) or co-run mix
+ * (flavor 1, mp::MixLibrary) state. Any other version is refused:
+ * the store is a cache, so an old file is a miss and a recapture.
  */
 constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
@@ -97,6 +96,25 @@ struct ArchCheckpoint
     {
         return arch.byteSize() + timing.byteSize() +
                2 * sizeof(std::uint64_t);
+    }
+
+    /** True for a slot no capture has filled yet. */
+    bool
+    empty() const
+    {
+        return arch.data.empty();
+    }
+
+    void
+    save(const SimSession &session)
+    {
+        session.saveState(arch, timing);
+    }
+
+    void
+    restore(SimSession &session) const
+    {
+        session.restoreState(arch, timing);
     }
 
     /** Field order is normative: docs/checkpoint-format.md. */
@@ -206,85 +224,51 @@ operator!=(const ShardSpec &a, const ShardSpec &b)
 namespace detail {
 
 /**
- * The serial sampling schedule with state-equivalent warming, shared
- * by every capture flavor: fastForward over the inter-unit gaps
- * (identical to the serial run), warmAsDetailed over the
- * detailed-warming and measured windows (identical state
- * transitions, no timing). @p snap(shard) fires at each shard
- * boundary — an iteration start, where the session state is
- * bit-identical to the serial run's. Works for any session exposing
- * the stepping surface — SimSession (one config), MultiSession (N
- * configs in lockstep), mp::MixSession (N programs over a shared
- * hierarchy, positions in rounds): the stream driving the schedule
- * does not depend on what is being warmed.
+ * The shard capture pass: the schedule walker with state-equivalent
+ * windows (SimSession::warmAsDetailed — detailedRun's transitions,
+ * no timing) that calls @p snap(shard) at each shard boundary. A
+ * boundary is an iteration start, where the session state is
+ * bit-identical to the serial run's. The pass stops after the last
+ * boundary: the tail belongs to the last shard.
  */
 template <typename Session, typename Snap>
 void
 captureSchedule(Session &session, const SamplingConfig &config,
                 const std::vector<ShardSpec> &plan, Snap &&snap)
 {
-    if (plan.size() <= 1)
-        return;
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    if (!u || !k)
-        SMARTS_FATAL("capture needs nonzero unit size and interval");
-
-    std::uint64_t pos = session.instCount();
-    std::uint64_t unitIdx = config.nextGridIndex(config.offset, pos);
     std::size_t next = 1;
-
-    while (next < plan.size()) {
-        if (unitIdx >= plan[next].firstUnitIndex) {
-            // The grid index can cross a boundary the STREAM never
-            // reached (it ended mid-unit on a mis-stated length);
-            // snapping there would persist a checkpoint load() must
-            // forever refuse. Unreachable boundary = stop.
-            if (session.instCount() < plan[next].resumePos)
-                break;
-            snap(next);
-            ++next;
-            continue;
-        }
-        // Stream shorter than planned (mis-stated length): the
-        // remaining checkpoints are unreachable.
-        if (session.finished() || unitIdx > ~0ull / u)
-            break;
-
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                continue;
-        }
-        if (unitStart > pos)
-            pos += session.warmAsDetailed(unitStart - pos);
-        pos += session.warmAsDetailed(u);
-        unitIdx += k;
-    }
+    walkSchedule(
+        session, config, config.offset, ~0ull, /*runTail=*/false,
+        [&](std::uint64_t unitIdx) {
+            for (; next < plan.size() &&
+                   unitIdx >= plan[next].firstUnitIndex;
+                 ++next) {
+                // The grid index can cross a boundary the STREAM
+                // never reached (it ended mid-unit on a mis-stated
+                // length); snapping there would persist a checkpoint
+                // load() must forever refuse. Unreachable = stop.
+                if (session.instCount() < plan[next].resumePos)
+                    return false;
+                snap(next);
+            }
+            return next < plan.size();
+        },
+        noSnapshot,
+        [&session](std::uint64_t length, bool) {
+            return session.warmAsDetailed(length);
+        });
 }
 
 } // namespace detail
 
 /**
- * A built checkpoint library: the shard plan plus every captured
- * resume checkpoint, reusable across runs. Capturing costs roughly
- * one warming pass; once built, sharded measurement of the same
- * (benchmark, sampling design) scales with threads and re-runs —
- * the tuned second pass of the two-pass procedure, config sweeps,
- * repeated design studies — pay no warming at all.
+ * What every shard library holds apart from its checkpoints: the
+ * sampling design, the shard plan, and the plan's part of the
+ * on-disk format.
  */
-class CheckpointLibrary
+class ShardLibraryBase
 {
   public:
-    /** Called as checkpoint @p shard becomes available (shard >= 1). */
-    using CheckpointSink =
-        std::function<void(std::size_t shard, ArchCheckpoint &&)>;
-
     /**
      * Split the measured-unit grid of (@p config, @p streamLength)
      * into at most @p shards contiguous, non-empty shards (clamped
@@ -299,11 +283,11 @@ class CheckpointLibrary
 
     /**
      * Check that @p plan is one planShards(@p config, ...) could
-     * have produced: contiguous shard geometry, interior resume
-     * positions on iteration boundaries, the tail flag on exactly
-     * the last shard. Returns an empty string when valid, else a
-     * diagnostic naming the offending shard. Both the library
-     * loader and the distributed job manifest refuse files whose
+     * have produced: a valid design, contiguous shard geometry,
+     * interior resume positions on iteration boundaries, the tail
+     * flag on exactly the last shard. Returns an empty string when
+     * valid, else a diagnostic naming the offending shard. Library
+     * loaders and the distributed job manifest refuse files whose
      * plan fails this — a checksum only proves the writer was
      * careful, not honest, and executing a malformed plan would
      * MIS-MEASURE instead of failing loudly.
@@ -312,27 +296,248 @@ class CheckpointLibrary
     validatePlan(const SamplingConfig &config,
                  const std::vector<ShardSpec> &plan);
 
+    const SamplingConfig &
+    samplingConfig() const
+    {
+        return config_;
+    }
+
+    const std::vector<ShardSpec> &
+    plan() const
+    {
+        return plan_;
+    }
+
+    std::size_t
+    shardCount() const
+    {
+        return plan_.size();
+    }
+
+  protected:
+    /** Magic, version, endianness marker and @p flavor byte. */
+    static void writeHeader(util::BinaryWriter &out,
+                            std::uint8_t flavor);
+
+    /**
+     * Consume what writeHeader wrote from @p in (the file at
+     * @p path), refusing — false plus a diagnostic in @p error — an
+     * unreadable or foreign file, another version, or another flavor
+     * (named, with the loader it needs).
+     */
+    static bool readHeader(util::BinaryReader &in,
+                           const std::string &path, std::uint8_t flavor,
+                           std::string *error);
+
+    /** The key, then the plan (docs/checkpoint-format.md § Plan). */
+    void writeKeyAndPlan(const LibraryKey &key,
+                         util::BinaryWriter &out) const;
+
+    /**
+     * Read what writeKeyAndPlan wrote: the key must match @p expect
+     * and the plan must pass validatePlan. Empty when accepted, else
+     * the refusal.
+     */
+    std::string readKeyAndPlan(util::BinaryReader &in,
+                               const LibraryKey &expect,
+                               const std::string &path);
+
+    SamplingConfig config_;
+    std::vector<ShardSpec> plan_;
+};
+
+/**
+ * The shard-library container of every session tier: the shard plan
+ * plus one resume checkpoint per shard (slot 0 resumes at stream
+ * start and stays empty). Capturing costs roughly one warming pass;
+ * once built, sharded measurement of the same (benchmark, sampling
+ * design) scales with threads and re-runs — the tuned second pass,
+ * config sweeps, repeated design studies — pay no warming at all.
+ *
+ * @p Checkpoint supplies empty(), save(session), restore(session),
+ * byteSize(), write(out), read(in) and the position / unitIndex
+ * fields; @p Library is the tier's library class deriving from this
+ * one (prepare() and build() return it).
+ */
+template <typename Library, typename Checkpoint>
+class ShardLibrary : public ShardLibraryBase
+{
+  public:
+    /** Called as checkpoint @p shard becomes available (shard >= 1). */
+    using CheckpointSink =
+        std::function<void(std::size_t shard, Checkpoint &&)>;
+
+    /**
+     * An empty library for (@p config, @p plan) whose checkpoints
+     * arrive later via record() — the pipelined capture path
+     * collects a persistable library this way while shards execute.
+     */
+    static Library
+    prepare(const SamplingConfig &config,
+            const std::vector<ShardSpec> &plan)
+    {
+        Library library;
+        library.config_ = config;
+        library.plan_ = plan;
+        library.checkpoints_.resize(plan.size());
+        return library;
+    }
+
     /**
      * Stream @p session (fresh, at stream start) through the serial
-     * sampling schedule using state-equivalent warming, invoking
+     * sampling schedule with state-equivalent warming, invoking
      * @p sink the moment each shard's resume state is reached.
-     * Shard 0 resumes at stream start and gets no checkpoint. The
-     * pass stops after the last checkpoint — the tail belongs to
-     * the last shard.
      */
-    static void capture(SimSession &session,
-                        const SamplingConfig &config,
-                        const std::vector<ShardSpec> &plan,
-                        const CheckpointSink &sink);
+    template <typename Session>
+    static void
+    capture(Session &session, const SamplingConfig &config,
+            const std::vector<ShardSpec> &plan,
+            const CheckpointSink &sink)
+    {
+        detail::captureSchedule(session, config, plan,
+                                [&](std::size_t s) {
+                                    Checkpoint cp;
+                                    cp.save(session);
+                                    cp.position = session.instCount();
+                                    cp.unitIndex =
+                                        plan[s].firstUnitIndex;
+                                    sink(s, std::move(cp));
+                                });
+    }
+
+    /** Capture every checkpoint of @p plan into a reusable library. */
+    template <typename Session>
+    static Library
+    build(Session &session, const SamplingConfig &config,
+          const std::vector<ShardSpec> &plan)
+    {
+        Library library = prepare(config, plan);
+        capture(session, config, plan,
+                [&library](std::size_t s, Checkpoint &&cp) {
+                    library.record(s, std::move(cp));
+                });
+        library.requireComplete();
+        return library;
+    }
+
+    /** Store shard @p shard's captured checkpoint. */
+    void
+    record(std::size_t shard, Checkpoint cp)
+    {
+        checkpoints_[shard] = std::move(cp);
+    }
+
+    /** True when every resume slot (shard >= 1) holds a checkpoint. */
+    bool
+    complete() const
+    {
+        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
+            if (checkpoints_[s].empty())
+                return false;
+        return !checkpoints_.empty();
+    }
 
     /**
-     * Capture every checkpoint of @p plan into a reusable library
-     * (slot 0 is an empty placeholder — shard 0 needs none).
+     * The stream ending before every boundary means the plan's
+     * streamLength was overstated; fail with a clear message rather
+     * than mid-pool when a shard restores an empty snapshot.
      */
-    static CheckpointLibrary build(SimSession &session,
-                                   const SamplingConfig &config,
-                                   const std::vector<ShardSpec> &plan);
+    void
+    requireComplete() const
+    {
+        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
+            if (checkpoints_[s].empty())
+                SMARTS_FATAL("stream ended before the checkpoint for "
+                             "shard ", s, " (position ",
+                             plan_[s].resumePos,
+                             ") — was streamLength overstated?");
+    }
 
+    const Checkpoint &
+    at(std::size_t shard) const
+    {
+        return checkpoints_[shard];
+    }
+
+    /** Total in-memory footprint of the captured checkpoints. */
+    std::size_t
+    byteSize() const
+    {
+        std::size_t total = 0;
+        for (const Checkpoint &cp : checkpoints_)
+            total += cp.byteSize();
+        return total;
+    }
+
+  protected:
+    /** Key, plan, then the checkpoint slots. */
+    void
+    writeBody(const LibraryKey &key, util::BinaryWriter &out) const
+    {
+        writeKeyAndPlan(key, out);
+        out.u64(checkpoints_.size());
+        for (std::size_t s = 0; s < checkpoints_.size(); ++s) {
+            // Slot 0 resumes at stream start and carries no state.
+            const bool present = s > 0;
+            out.u8(present ? 1 : 0);
+            if (present)
+                checkpoints_[s].write(out);
+        }
+    }
+
+    /**
+     * Read what writeBody wrote, refusing (false plus a diagnostic
+     * in @p error) a mismatched key, an invalid plan, a slot present
+     * where none belongs or missing where one does, truncation,
+     * trailing garbage, or a checkpoint disagreeing with its shard.
+     */
+    bool
+    readBody(util::BinaryReader &in, const LibraryKey &expect,
+             const std::string &path, std::string *error)
+    {
+        auto refuse = [error](std::string why) {
+            if (error)
+                *error = std::move(why);
+            return false;
+        };
+        std::string why = readKeyAndPlan(in, expect, path);
+        if (!why.empty())
+            return refuse(std::move(why));
+        const std::uint64_t count = in.u64();
+        if (count != plan_.size())
+            return refuse(log::format(path, " is corrupt (", count,
+                                      " checkpoints for ",
+                                      plan_.size(), " shards)"));
+        checkpoints_.resize(count);
+        for (std::size_t s = 0; s < count; ++s) {
+            const bool present = in.u8() != 0;
+            if (present == (s == 0))
+                return refuse(log::format(
+                    path, " is corrupt (checkpoint ", s,
+                    present ? " unexpectedly present" : " missing"));
+            if (present)
+                checkpoints_[s].read(in);
+        }
+        if (in.failed() || in.remaining() != 0)
+            return refuse(log::format(
+                path, " is truncated or has trailing garbage"));
+        for (std::size_t s = 1; s < count; ++s)
+            if (checkpoints_[s].position != plan_[s].resumePos ||
+                checkpoints_[s].unitIndex != plan_[s].firstUnitIndex)
+                return refuse(log::format(
+                    path, " is corrupt (checkpoint ", s,
+                    " disagrees with its shard plan)"));
+        return true;
+    }
+
+    std::vector<Checkpoint> checkpoints_;
+};
+
+/** The solo tier's shard library: SimSession state per shard. */
+class CheckpointLibrary
+    : public ShardLibrary<CheckpointLibrary, ArchCheckpoint>
+{
+  public:
     /**
      * Multi-config capture: ONE streaming pass over @p session (N
      * configs in lockstep off the shared architectural stream)
@@ -348,32 +553,6 @@ class CheckpointLibrary
                const std::vector<ShardSpec> &plan);
 
     /**
-     * An empty library for (@p config, @p plan) whose checkpoints
-     * arrive later via record() — the pipelined capture path uses
-     * this to collect a persistable library while shards already
-     * execute.
-     */
-    static CheckpointLibrary prepare(const SamplingConfig &config,
-                                     const std::vector<ShardSpec> &plan);
-
-    /** Store shard @p shard's captured checkpoint (copied). */
-    void
-    record(std::size_t shard, const ArchCheckpoint &cp)
-    {
-        checkpoints_[shard] = cp;
-    }
-
-    /** True when every resume slot (shard >= 1) holds a checkpoint. */
-    bool
-    complete() const
-    {
-        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
-            if (checkpoints_[s].arch.data.empty())
-                return false;
-        return !checkpoints_.empty();
-    }
-
-    /**
      * Serialize under @p key into the versioned on-disk format
      * (docs/checkpoint-format.md) and publish atomically at @p path.
      * False with @p error set on filesystem failure.
@@ -385,10 +564,11 @@ class CheckpointLibrary
     /**
      * Load a library from @p path, refusing — nullopt plus a
      * diagnostic in @p error — on anything short of an exact match:
-     * missing/truncated/corrupt file (checksum), unknown format
-     * version, or a key whose benchmark, sampling design or config
-     * geometry differs from @p expect. Refusal is the contract: a
-     * mis-keyed library must never silently mis-warm a shard.
+     * missing/truncated/corrupt file (checksum), another format
+     * version or flavor, or a key whose benchmark, sampling design
+     * or config geometry differs from @p expect. Refusal is the
+     * contract: a mis-keyed library must never silently mis-warm a
+     * shard.
      */
     static std::optional<CheckpointLibrary>
     load(const std::string &path, const LibraryKey &expect,
@@ -397,47 +577,6 @@ class CheckpointLibrary
     /** Serialize to @p out (save() = serialize + checksummed file). */
     void serialize(const LibraryKey &key,
                    util::BinaryWriter &out) const;
-
-    CheckpointLibrary() = default;
-
-    const SamplingConfig &
-    samplingConfig() const
-    {
-        return config_;
-    }
-
-    const std::vector<ShardSpec> &
-    plan() const
-    {
-        return plan_;
-    }
-
-    const ArchCheckpoint &
-    at(std::size_t shard) const
-    {
-        return checkpoints_[shard];
-    }
-
-    std::size_t
-    shardCount() const
-    {
-        return plan_.size();
-    }
-
-    /** Total in-memory footprint of the captured checkpoints. */
-    std::size_t
-    byteSize() const
-    {
-        std::size_t total = 0;
-        for (const ArchCheckpoint &cp : checkpoints_)
-            total += cp.byteSize();
-        return total;
-    }
-
-  private:
-    SamplingConfig config_;
-    std::vector<ShardSpec> plan_;
-    std::vector<ArchCheckpoint> checkpoints_;
 };
 
 } // namespace smarts::core

@@ -134,6 +134,10 @@ class StoreLease
 class CheckpointStore
 {
   public:
+    /** Reads or writes the entry file at a path; false + @p error. */
+    using EntryIo = std::function<bool(const std::string &path,
+                                       std::string *error)>;
+
     /** Open (lazily creating) the store rooted at @p root. */
     explicit CheckpointStore(std::string root);
 
@@ -245,9 +249,7 @@ class CheckpointStore
      * entry is a silent miss (empty @p error), a loader refusal on a
      * still-existing file is a miss with the loader's diagnostic.
      */
-    bool loadEntry(const LibraryKey &key,
-                   const std::function<bool(const std::string &path,
-                                            std::string *error)> &loader,
+    bool loadEntry(const LibraryKey &key, const EntryIo &loader,
                    std::string *error = nullptr) const;
 
     /**
@@ -256,9 +258,7 @@ class CheckpointStore
      * or an equivalent temp+rename), and index/journal/GC
      * bookkeeping around a caller-supplied @p writer.
      */
-    bool publishEntry(const LibraryKey &key,
-                      const std::function<bool(const std::string &path,
-                                               std::string *error)> &writer,
+    bool publishEntry(const LibraryKey &key, const EntryIo &writer,
                       std::string *error = nullptr) const;
 
     // --- cache service surface -----------------------------------
@@ -303,6 +303,12 @@ class CheckpointStore
     std::string indexPath() const;
 
   private:
+    /** loadEntry / publishEntry for either entry kind. */
+    bool loadAt(const LibraryKey &key, bool livePoints,
+                const EntryIo &loader, std::string *error) const;
+    bool publishAt(const LibraryKey &key, bool livePoints,
+                   const EntryIo &writer, std::string *error) const;
+
     std::size_t ensureImpl(
         const workloads::BenchmarkSpec &spec,
         const std::vector<uarch::MachineConfig> &configs,

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/multi_session.hh"
@@ -97,7 +98,36 @@ struct SamplingConfig
             (firstWhole - idx + interval - 1) / interval;
         return idx + steps * interval;
     }
+
+    /**
+     * Empty when the design can be sampled, else why not: a zero
+     * unit size or interval, or an offset whose first unit start
+     * (offset * unitSize) overflows. Every decode path that takes a
+     * design from outside the process (store requests, job
+     * manifests, library plans) refuses with this diagnostic instead
+     * of reaching a fatal deep in a capture pass.
+     */
+    std::string validate() const;
 };
+
+/**
+ * Field-for-field equality — the ONE definition of "the same
+ * sampling design" (a library built for another design refuses).
+ */
+inline bool
+operator==(const SamplingConfig &a, const SamplingConfig &b)
+{
+    return a.unitSize == b.unitSize &&
+           a.detailedWarming == b.detailedWarming &&
+           a.interval == b.interval && a.offset == b.offset &&
+           a.warming == b.warming;
+}
+
+inline bool
+operator!=(const SamplingConfig &a, const SamplingConfig &b)
+{
+    return !(a == b);
+}
 
 /** One measured unit's observations, in stream order. */
 struct UnitObservation
@@ -514,15 +544,13 @@ class SystematicSampler
                        const AnytimeOptions &options = {},
                        LivePointLibrary *collect = nullptr) const;
 
-  private:
-    /** The cold pipelined path; @p collect (optional) receives the
-     *  captured library for persistence. */
-    SmartsEstimate runShardedCold(const SessionFactory &factory,
-                                  std::uint64_t streamLength,
-                                  std::size_t shards,
-                                  exec::ThreadPool &pool,
-                                  CheckpointLibrary *collect) const;
+    const SamplingConfig &
+    samplingConfig() const
+    {
+        return config_;
+    }
 
+  private:
     SamplingConfig config_;
 };
 

@@ -9,19 +9,20 @@
  * U/W/k design executes in instructions — the bit-exactness claim
  * tests/test_shared_mem.cc pins.
  *
- * Execution modes mirror core::SystematicSampler: serial run(),
- * checkpoint-sharded runSharded() (cold-pipelined, prebuilt
- * MixLibrary, or store-backed through the generic
- * CheckpointStore::loadEntry/publishEntry hooks), all folding
- * per-unit observations in stream order so every mode is
- * bit-identical to the serial run at any thread count
- * (tests/test_mix.cc).
+ * The co-run tier is a hook set on the solo tier's machinery: the
+ * serial run() and every shard walk core::detail::walkSchedule with
+ * dual-world observation windows, and runSharded() (cold-pipelined,
+ * prebuilt MixLibrary, or store-backed) is core::detail::runShards
+ * over MixLibrary. Every mode folds per-unit observations in stream
+ * order, so each is bit-identical to the serial run at any thread
+ * count (tests/test_mix.cc, tests/test_schedule.cc).
  */
 
 #ifndef SMARTS_MP_MIX_SAMPLER_HH
 #define SMARTS_MP_MIX_SAMPLER_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/sampler.hh"
@@ -143,10 +144,8 @@ class MixSampler
     }
 
   private:
-    MixEstimate runShardedCold(std::uint64_t streamLength,
-                               std::size_t shards,
-                               exec::ThreadPool &pool,
-                               MixLibrary *collect) const;
+    /** A fresh co-run session, boxed for the shard executor. */
+    std::unique_ptr<MixSession> newSession() const;
 
     MixEstimate emptyEstimate() const;
 

@@ -22,23 +22,6 @@ warmingName(WarmingMode mode)
     return "?";
 }
 
-/**
- * The stream ending before every boundary means the plan's
- * streamLength was overstated; fail with a clear message rather
- * than mid-pool when a shard restores an empty snapshot.
- */
-void
-requireComplete(const CheckpointLibrary &library,
-                const std::vector<ShardSpec> &plan)
-{
-    for (std::size_t s = 1; s < plan.size(); ++s)
-        if (library.at(s).arch.data.empty())
-            SMARTS_FATAL("stream ended before the checkpoint for "
-                         "shard ", s, " (position ",
-                         plan[s].resumePos,
-                         ") — was streamLength overstated?");
-}
-
 const char *
 scaleName(workloads::Scale scale)
 {
@@ -148,11 +131,7 @@ LibraryKey::mismatchAgainst(const LibraryKey &other) const
                            scaleName(other.benchmark.scale),
                            ", expected: ", benchmark.name, "-",
                            scaleName(benchmark.scale), ")");
-    if (sampling.unitSize != other.sampling.unitSize ||
-        sampling.detailedWarming != other.sampling.detailedWarming ||
-        sampling.interval != other.sampling.interval ||
-        sampling.offset != other.sampling.offset ||
-        sampling.warming != other.sampling.warming)
+    if (sampling != other.sampling)
         return log::format(
             "sampling-design mismatch (file: U",
             other.sampling.unitSize, "/W",
@@ -178,7 +157,7 @@ LibraryKey::mismatchAgainst(const LibraryKey &other) const
 }
 
 std::vector<ShardSpec>
-CheckpointLibrary::planShards(const SamplingConfig &config,
+ShardLibraryBase::planShards(const SamplingConfig &config,
                               std::uint64_t streamLength,
                               std::size_t shards)
 {
@@ -217,13 +196,13 @@ CheckpointLibrary::planShards(const SamplingConfig &config,
 }
 
 std::string
-CheckpointLibrary::validatePlan(const SamplingConfig &config,
-                                const std::vector<ShardSpec> &plan)
+ShardLibraryBase::validatePlan(const SamplingConfig &config,
+                               const std::vector<ShardSpec> &plan)
 {
     if (plan.empty())
         return "the plan has no shards";
-    if (!config.unitSize || !config.interval)
-        return "the sampling design has a zero unit size or interval";
+    if (std::string invalid = config.validate(); !invalid.empty())
+        return invalid;
     std::uint64_t expectIdx = config.offset;
     for (std::size_t s = 0; s < plan.size(); ++s) {
         const ShardSpec &shard = plan[s];
@@ -261,43 +240,100 @@ CheckpointLibrary::validatePlan(const SamplingConfig &config,
 }
 
 void
-CheckpointLibrary::capture(SimSession &session,
-                           const SamplingConfig &config,
-                           const std::vector<ShardSpec> &plan,
-                           const CheckpointSink &sink)
+ShardLibraryBase::writeHeader(util::BinaryWriter &out,
+                              std::uint8_t flavor)
 {
-    detail::captureSchedule(session, config, plan, [&](std::size_t s) {
-        ArchCheckpoint cp;
-        session.saveState(cp.arch, cp.timing);
-        cp.position = session.instCount();
-        cp.unitIndex = plan[s].firstUnitIndex;
-        sink(s, std::move(cp));
-    });
+    for (const char c : kCheckpointMagic)
+        out.u8(static_cast<std::uint8_t>(c));
+    out.u32(kCheckpointFormatVersion);
+    out.u32(kCheckpointEndianMark);
+    out.u8(flavor);
 }
 
-CheckpointLibrary
-CheckpointLibrary::prepare(const SamplingConfig &config,
-                           const std::vector<ShardSpec> &plan)
+bool
+ShardLibraryBase::readHeader(util::BinaryReader &in,
+                             const std::string &path,
+                             std::uint8_t flavor, std::string *error)
 {
-    CheckpointLibrary library;
-    library.config_ = config;
-    library.plan_ = plan;
-    library.checkpoints_.resize(plan.size());
-    return library;
+    auto refuse = [error](std::string why) {
+        if (error)
+            *error = std::move(why);
+        return false;
+    };
+    // fromFile already said why an unreadable file failed.
+    if (in.failed())
+        return false;
+    for (const char c : kCheckpointMagic)
+        if (in.u8() != static_cast<std::uint8_t>(c))
+            return refuse(log::format(
+                path, " is not a smarts checkpoint library"));
+    const std::uint32_t version = in.u32();
+    if (version != kCheckpointFormatVersion)
+        return refuse(log::format(
+            path, " is format version ", version,
+            "; this build reads version ", kCheckpointFormatVersion));
+    if (in.u32() != kCheckpointEndianMark)
+        return refuse(log::format(path,
+                                  " has a bad endianness marker"));
+    const std::uint8_t found = in.u8();
+    if (found == flavor)
+        return true;
+    const char *holds = "an unknown flavor's";
+    if (found == kCheckpointFlavorSolo)
+        holds = "solo state; load it through core::CheckpointLibrary,";
+    if (found == kCheckpointFlavorMix)
+        holds = "co-run mix state; load it through mp::MixLibrary,";
+    return refuse(log::format(
+        path, " holds flavor-", static_cast<unsigned>(found), " (",
+        holds, " not the ",
+        flavor == kCheckpointFlavorSolo ? "solo" : "mix", " loader)"));
 }
 
-CheckpointLibrary
-CheckpointLibrary::build(SimSession &session,
-                         const SamplingConfig &config,
-                         const std::vector<ShardSpec> &plan)
+void
+ShardLibraryBase::writeKeyAndPlan(const LibraryKey &key,
+                                  util::BinaryWriter &out) const
 {
-    CheckpointLibrary library = prepare(config, plan);
-    capture(session, config, plan,
-            [&library](std::size_t s, ArchCheckpoint &&cp) {
-                library.checkpoints_[s] = std::move(cp);
-            });
-    requireComplete(library, plan);
-    return library;
+    key.write(out);
+    out.u64(plan_.size());
+    for (const ShardSpec &shard : plan_) {
+        out.u64(shard.firstUnitIndex);
+        out.u64(shard.unitCount);
+        out.u64(shard.resumePos);
+        out.u8(shard.runsTail ? 1 : 0);
+    }
+}
+
+std::string
+ShardLibraryBase::readKeyAndPlan(util::BinaryReader &in,
+                                 const LibraryKey &expect,
+                                 const std::string &path)
+{
+    const LibraryKey stored = LibraryKey::read(in);
+    const std::string mismatch = expect.mismatchAgainst(stored);
+    if (!mismatch.empty())
+        return log::format(path, ": ", mismatch);
+    config_ = stored.sampling;
+    const std::uint64_t shardCount = in.u64();
+    // An absurd count means a corrupt length field the checksum
+    // somehow missed; bound it by what the payload could hold.
+    if (shardCount > in.remaining())
+        return log::format(path, " is corrupt (shard count ",
+                           shardCount, ")");
+    plan_.resize(shardCount);
+    for (ShardSpec &shard : plan_) {
+        shard.firstUnitIndex = in.u64();
+        shard.unitCount = in.u64();
+        shard.resumePos = in.u64();
+        shard.runsTail = in.u8() != 0;
+    }
+    // The plan must be one planShards could have produced — the
+    // checksum only proves the writer was careful, not honest, and
+    // executing a malformed plan (overlapping shards, misplaced
+    // tail) would MIS-MEASURE instead of refusing.
+    const std::string planError = validatePlan(config_, plan_);
+    if (!planError.empty())
+        return log::format(path, " is corrupt (", planError, ")");
+    return {};
 }
 
 std::vector<CheckpointLibrary>
@@ -321,11 +357,11 @@ CheckpointLibrary::buildMulti(MultiSession &session,
             cp.timing = std::move(timings[c]);
             cp.position = session.instCount();
             cp.unitIndex = plan[s].firstUnitIndex;
-            libraries[c].checkpoints_[s] = std::move(cp);
+            libraries[c].record(s, std::move(cp));
         }
     });
     for (const CheckpointLibrary &library : libraries)
-        requireComplete(library, plan);
+        library.requireComplete();
     return libraries;
 }
 
@@ -333,29 +369,8 @@ void
 CheckpointLibrary::serialize(const LibraryKey &key,
                              util::BinaryWriter &out) const
 {
-    for (const char c : kCheckpointMagic)
-        out.u8(static_cast<std::uint8_t>(c));
-    out.u32(kCheckpointFormatVersion);
-    out.u32(kCheckpointEndianMark);
-    out.u8(kCheckpointFlavorSolo);
-    key.write(out);
-
-    out.u64(plan_.size());
-    for (const ShardSpec &shard : plan_) {
-        out.u64(shard.firstUnitIndex);
-        out.u64(shard.unitCount);
-        out.u64(shard.resumePos);
-        out.u8(shard.runsTail ? 1 : 0);
-    }
-    out.u64(checkpoints_.size());
-    for (std::size_t s = 0; s < checkpoints_.size(); ++s) {
-        // Slot 0 (and every tail shard of a one-shard plan) resumes
-        // at stream start and carries no state.
-        const bool present = s > 0;
-        out.u8(present ? 1 : 0);
-        if (present)
-            checkpoints_[s].write(out);
-    }
+    writeHeader(out, kCheckpointFlavorSolo);
+    writeBody(key, out);
 }
 
 bool
@@ -371,99 +386,11 @@ std::optional<CheckpointLibrary>
 CheckpointLibrary::load(const std::string &path,
                         const LibraryKey &expect, std::string *error)
 {
-    auto refuse = [error](std::string why) {
-        if (error)
-            *error = std::move(why);
-        return std::nullopt;
-    };
-
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
-
-    for (const char c : kCheckpointMagic)
-        if (in.u8() != static_cast<std::uint8_t>(c))
-            return refuse(log::format(
-                path, " is not a smarts checkpoint library"));
-    // v1 files (no flavor byte, always solo state) still load: the
-    // v1→v2 migration path. Anything newer is refused, not guessed.
-    const std::uint32_t version = in.u32();
-    if (version != 1 && version != kCheckpointFormatVersion)
-        return refuse(log::format(
-            path, " is format version ", version,
-            "; this build reads versions 1 and ",
-            kCheckpointFormatVersion));
-    if (in.u32() != kCheckpointEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
-    if (version >= 2) {
-        const std::uint8_t flavor = in.u8();
-        if (flavor != kCheckpointFlavorSolo)
-            return refuse(log::format(
-                path, " holds flavor-", flavor,
-                " (co-run mix) state; load it through "
-                "mp::MixLibrary, not the solo library loader"));
-    }
-
-    const LibraryKey stored = LibraryKey::read(in);
-    const std::string mismatch = expect.mismatchAgainst(stored);
-    if (!mismatch.empty())
-        return refuse(log::format(path, ": ", mismatch));
-
+    util::BinaryReader in = util::BinaryReader::fromFile(path, error);
     CheckpointLibrary library;
-    library.config_ = stored.sampling;
-    const std::uint64_t shardCount = in.u64();
-    // An absurd count means a corrupt length field the checksum
-    // somehow missed; bound it by what the payload could hold.
-    if (shardCount > in.remaining())
-        return refuse(log::format(path, " is corrupt (shard count ",
-                                  shardCount, ")"));
-    library.plan_.resize(shardCount);
-    for (ShardSpec &shard : library.plan_) {
-        shard.firstUnitIndex = in.u64();
-        shard.unitCount = in.u64();
-        shard.resumePos = in.u64();
-        shard.runsTail = in.u8() != 0;
-    }
-    // The plan must be one planShards could have produced — the
-    // checksum only proves the writer was careful, not honest, and
-    // executing a malformed plan (overlapping shards, misplaced
-    // tail) would MIS-MEASURE instead of refusing.
-    {
-        const std::string planError =
-            validatePlan(stored.sampling, library.plan_);
-        if (!planError.empty())
-            return refuse(log::format(path, " is corrupt (",
-                                      planError, ")"));
-    }
-    const std::uint64_t cpCount = in.u64();
-    if (cpCount != shardCount)
-        return refuse(log::format(
-            path, " is corrupt (", cpCount, " checkpoints for ",
-            shardCount, " shards)"));
-    library.checkpoints_.resize(shardCount);
-    for (std::size_t s = 0; s < shardCount; ++s) {
-        const bool present = in.u8() != 0;
-        if (present == (s == 0))
-            return refuse(log::format(
-                path, " is corrupt (checkpoint ", s,
-                present ? " unexpectedly present" : " missing"));
-        if (present)
-            library.checkpoints_[s].read(in);
-    }
-    if (in.failed() || in.remaining() != 0)
-        return refuse(log::format(
-            path, " is truncated or has trailing garbage"));
-    for (std::size_t s = 1; s < shardCount; ++s)
-        if (library.checkpoints_[s].position !=
-                library.plan_[s].resumePos ||
-            library.checkpoints_[s].unitIndex !=
-                library.plan_[s].firstUnitIndex)
-            return refuse(log::format(
-                path, " is corrupt (checkpoint ", s,
-                " disagrees with its shard plan)"));
+    if (!readHeader(in, path, kCheckpointFlavorSolo, error) ||
+        !library.readBody(in, expect, path, error))
+        return std::nullopt;
     return library;
 }
 

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/schedule.hh"
 #include "exec/thread_pool.hh"
 #include "util/delta_codec.hh"
 #include "util/logging.hh"
@@ -19,108 +20,43 @@ namespace {
 constexpr char kMagic[8] = {'S', 'M', 'R', 'T',
                             'L', 'V', 'P', 'T'};
 
-/** Same probe as the v1 format (docs/checkpoint-format.md). */
-constexpr std::uint32_t kEndianMark = 0x01020304u;
-
 /**
- * The serial sampling schedule with state-equivalent warming, as in
- * the shard capture pass (core/checkpoint.cc), but snapping at EVERY
- * measured unit's iteration start — after the inter-unit gap is
- * fast-forwarded, before detailed warming — which is exactly where
- * the serial loop's state equals the capture pass's. After the last
- * unit the stream is run out so the caller learns the true dynamic
- * length. Works for SimSession and MultiSession: both expose the
- * same stepping surface.
+ * The live-point capture pass: the schedule walker with
+ * state-equivalent windows (warmAsDetailed), calling @p snap(unitIdx)
+ * after every inter-unit gap — the unit's iteration start, where the
+ * capture pass's state equals the serial run's — then running the
+ * tail out. Returns the true stream length. Works for SimSession and
+ * MultiSession alike.
  */
 template <typename Session, typename Snap>
 std::uint64_t
 liveCaptureSchedule(Session &session, const SamplingConfig &config,
                     Snap &&snap)
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    if (!u || !k)
-        SMARTS_FATAL("live-point capture needs nonzero unit size "
-                     "and interval");
-
-    std::uint64_t pos = session.instCount();
-    std::uint64_t unitIdx = config.nextGridIndex(config.offset, pos);
-
-    while (!session.finished()) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-        // The serial loop iterates this unit (possibly truncated):
-        // snapshot its resume state.
-        snap(unitIdx);
-
-        if (unitStart > pos)
-            pos += session.warmAsDetailed(unitStart - pos);
-        pos += session.warmAsDetailed(u);
-        unitIdx += k;
-    }
-
-    // Run out the tail so streamLength is the true benchmark length.
-    while (!session.finished())
-        session.fastForward(~0ull >> 1, config.warming);
+    detail::walkSchedule(session, config, config.offset, ~0ull,
+                         /*runTail=*/true, detail::keepWalking, snap,
+                         [&session](std::uint64_t length, bool) {
+                             return session.warmAsDetailed(length);
+                         });
     return session.instCount();
 }
 
-/** One unit's raw measurement, before deterministic folding. */
-struct UnitSample
-{
-    UnitObservation obs{};
-    bool hasObs = false;
-    std::uint64_t measured = 0;
-    std::uint64_t warmed = 0;
-    std::uint64_t dropped = 0;
-};
-
 /**
- * Replay one live-point: restore, detailed-warm up to the unit
- * start, measure U — the serial loop's per-iteration body
- * (core/sampler.cc runSliceRange) starting from the snapshot, with
- * the identical accounting, truncation cases included.
+ * Replay one live-point into @p out: restore, then the serial loop's
+ * W and U windows from the snapshot, with the identical accounting.
+ * When warming hits the end of the stream the unit window runs on a
+ * finished session and books nothing — the serial loop broke there.
  */
 void
 measureLivePoint(SimSession &session, const SamplingConfig &config,
-                 const LivePoint &point, UnitSample &out)
+                 const LivePoint &point, SliceResult &out)
 {
     session.restoreState(point.arch, point.timing);
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t unitStart = point.unitIndex * u;
-    std::uint64_t pos = point.position;
-
-    out = UnitSample{};
-    if (unitStart > pos) {
-        const Segment warm = session.detailedRun(unitStart - pos);
-        out.warmed = warm.instructions;
-        pos += warm.instructions;
-    }
-    // When warming hit the end of the stream this runs on a finished
-    // session and yields a zero segment — the serial loop broke
-    // before measuring, and 0 dropped instructions matches it.
-    const Segment seg = session.detailedRun(u);
-    if (seg.instructions == u) {
-        out.hasObs = true;
-        out.obs = {static_cast<double>(seg.cycles) /
-                       static_cast<double>(u),
-                   seg.energyNj /
-                       static_cast<double>(seg.instructions)};
-        out.measured = u;
-    } else {
-        out.dropped = seg.instructions;
-    }
+    const std::uint64_t unitStart = point.unitIndex * config.unitSize;
+    if (unitStart > point.position)
+        detail::measureWindow(session, out, unitStart - point.position,
+                              false);
+    detail::measureWindow(session, out, config.unitSize, true);
 }
 
 /** Raw serialized state of one live-point (the delta chain's unit). */
@@ -151,11 +87,21 @@ shuffledOrder(std::size_t n, std::uint64_t seed)
     return order;
 }
 
-/** The batch-boundary confidence test of the anytime estimator. */
+/**
+ * Admit shuffle positions [from, to) to the stop rule and test it at
+ * this batch boundary. The rule sees CPI in SHUFFLE order — the
+ * randomized order is what makes the prefix an unbiased sample of
+ * the unit population at every cut point.
+ */
+template <typename Samples>
 bool
-anytimeTargetMet(const stats::OnlineStats &shuffled,
-                 const AnytimeOptions &options)
+admitBatch(stats::OnlineStats &shuffled, const Samples &samples,
+           const std::vector<std::uint32_t> &order, std::size_t from,
+           std::size_t to, const AnytimeOptions &options)
 {
+    for (std::size_t i = from; i < to; ++i)
+        for (const UnitObservation &o : samples[order[i]].obs)
+            shuffled.add(o.cpi);
     return options.target.epsilon > 0.0 &&
            shuffled.count() >= options.minUnits &&
            stats::confidenceHalfWidth(shuffled.cv(), shuffled.count(),
@@ -164,10 +110,10 @@ anytimeTargetMet(const stats::OnlineStats &shuffled,
 }
 
 /**
- * Deterministic fold: replay the taken units' observations in
- * STREAM order through the accumulators — replay, never
- * OnlineStats::merge (Chan's merge rounds differently), so a
- * completed run equals the serial run() byte for byte.
+ * Deterministic fold: replay the taken units in STREAM order through
+ * foldSlice — replay, never OnlineStats::merge (Chan's merge rounds
+ * differently), so a completed run equals the serial run() byte for
+ * byte.
  */
 template <typename Samples>
 AnytimeResult
@@ -181,20 +127,10 @@ foldAnytime(const Samples &samples,
         taken[order[i]] = true;
 
     AnytimeResult result;
-    SmartsEstimate &est = result.estimate;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!taken[i])
-            continue;
-        const UnitSample &sample = samples[i];
-        if (sample.hasObs) {
-            est.cpiStats.add(sample.obs.cpi);
-            est.epiStats.add(sample.obs.epi);
-        }
-        est.instructionsMeasured += sample.measured;
-        est.instructionsWarmed += sample.warmed;
-        est.instructionsDropped += sample.dropped;
-    }
-    est.streamLength = streamLength;
+    for (std::size_t i = 0; i < n; ++i)
+        if (taken[i])
+            SystematicSampler::foldSlice(result.estimate, samples[i]);
+    result.estimate.streamLength = streamLength;
     result.unitsAvailable = n;
     result.unitsMeasured = processed;
     result.earlyStopped = processed < n;
@@ -268,7 +204,7 @@ LivePointLibrary::serialize(const LibraryKey &key,
     for (const char c : kMagic)
         out.u8(static_cast<std::uint8_t>(c));
     out.u32(kLivePointFormatVersion);
-    out.u32(kEndianMark);
+    out.u32(kCheckpointEndianMark);
     out.u8(kCheckpointFlavorSolo);
     key.write(out);
 
@@ -316,33 +252,28 @@ LivePointLibrary::load(const std::string &path,
         if (in.u8() != static_cast<std::uint8_t>(c))
             return refuse(log::format(
                 path, " is not a smarts live-point library"));
-    // v2 files (no flavor byte, always solo state) still load: the
-    // same migration policy as checkpoint v1→v2.
     const std::uint32_t version = in.u32();
-    if (version != 2 && version != kLivePointFormatVersion)
+    if (version != kLivePointFormatVersion)
         return refuse(log::format(
             path, " is format version ", version,
-            "; this build reads versions 2 and ",
-            kLivePointFormatVersion));
-    if (in.u32() != kEndianMark)
+            "; this build reads version ", kLivePointFormatVersion));
+    if (in.u32() != kCheckpointEndianMark)
         return refuse(log::format(path,
                                   " has a bad endianness marker"));
-    if (version >= 3) {
-        const std::uint8_t flavor = in.u8();
-        if (flavor != kCheckpointFlavorSolo)
-            return refuse(log::format(
-                path, " holds flavor-", flavor,
-                " (co-run mix) live-points, which no reader "
-                "implements yet (the flavor is reserved)"));
-    }
+    const std::uint8_t flavor = in.u8();
+    if (flavor != kCheckpointFlavorSolo)
+        return refuse(log::format(
+            path, " holds flavor-", static_cast<unsigned>(flavor),
+            " (co-run mix) live-points, which no reader "
+            "implements yet (the flavor is reserved)"));
 
     const LibraryKey stored = LibraryKey::read(in);
     const std::string mismatch = expect.mismatchAgainst(stored);
     if (!mismatch.empty())
         return refuse(log::format(path, ": ", mismatch));
-    if (!stored.sampling.unitSize || !stored.sampling.interval)
-        return refuse(log::format(
-            path, " is corrupt (zero unit size or interval)"));
+    const std::string invalid = stored.sampling.validate();
+    if (!invalid.empty())
+        return refuse(log::format(path, " is corrupt (", invalid, ")"));
 
     LivePointLibrary library;
     library.config_ = stored.sampling;
@@ -418,12 +349,7 @@ SystematicSampler::runAnytime(const SessionFactory &factory,
 {
     if (!factory)
         SMARTS_FATAL("runAnytime needs a session factory");
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
+    if (library.samplingConfig() != config_)
         SMARTS_FATAL("live-point library was built for a different "
                      "sampling design");
 
@@ -439,7 +365,7 @@ SystematicSampler::runAnytime(const SessionFactory &factory,
     const std::uint64_t batch = options.batch ? options.batch : 1;
     const std::uint64_t chunk = options.chunk ? options.chunk : 1;
 
-    std::vector<UnitSample> samples(n);
+    std::vector<SliceResult> samples(n);
     stats::OnlineStats shuffled; // CPI in shuffle order: stop rule only.
     std::size_t processed = 0;
     bool stopped = false;
@@ -463,19 +389,9 @@ SystematicSampler::runAnytime(const SessionFactory &factory,
             });
         }
         pool.wait();
-
-        // The stop rule sees observations in SHUFFLE order — the
-        // randomized order is what makes the prefix an unbiased
-        // sample of the unit population at every cut point.
-        for (std::size_t i = processed; i < end; ++i) {
-            const UnitSample &sample = samples[order[i]];
-            if (sample.hasObs)
-                shuffled.add(sample.obs.cpi);
-        }
+        stopped = admitBatch(shuffled, samples, order, processed, end,
+                             options);
         processed = end;
-
-        if (anytimeTargetMet(shuffled, options))
-            stopped = true;
     }
 
     return foldAnytime(samples, order, processed,
@@ -499,16 +415,16 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     // elements, so the capture thread keeps appending while pool
     // jobs write through the stable slot pointers they were handed.
     // Jobs never touch the container itself.
-    std::deque<UnitSample> samples;
+    std::deque<SliceResult> samples;
     std::vector<LivePoint> pendingPoints;
-    std::vector<UnitSample *> pendingSlots;
+    std::vector<SliceResult *> pendingSlots;
 
     auto flush = [&] {
         if (pendingPoints.empty())
             return;
         auto points = std::make_shared<std::vector<LivePoint>>(
             std::move(pendingPoints));
-        auto slots = std::make_shared<std::vector<UnitSample *>>(
+        auto slots = std::make_shared<std::vector<SliceResult *>>(
             std::move(pendingSlots));
         pendingPoints.clear();
         pendingSlots.clear();
@@ -553,14 +469,9 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     while (processed < n && !stopped) {
         const std::size_t end =
             std::min<std::size_t>(n, processed + batch);
-        for (std::size_t i = processed; i < end; ++i) {
-            const UnitSample &sample = samples[order[i]];
-            if (sample.hasObs)
-                shuffled.add(sample.obs.cpi);
-        }
+        stopped = admitBatch(shuffled, samples, order, processed, end,
+                             options);
         processed = end;
-        if (anytimeTargetMet(shuffled, options))
-            stopped = true;
     }
 
     AnytimeResult result =
@@ -577,12 +488,7 @@ SystematicSampler::measureUnits(SimSession &session,
                                 std::uint64_t unitCount,
                                 const ProgressTick &tick) const
 {
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
+    if (library.samplingConfig() != config_)
         SMARTS_FATAL("live-point library was built for a different "
                      "sampling design");
     if (firstUnit + unitCount > library.unitCount())
@@ -596,13 +502,7 @@ SystematicSampler::measureUnits(SimSession &session,
     SliceResult r;
     for (std::uint64_t i = firstUnit; i < firstUnit + unitCount;
          ++i) {
-        UnitSample sample;
-        measureLivePoint(session, config_, library.at(i), sample);
-        if (sample.hasObs)
-            r.obs.push_back(sample.obs);
-        r.measured += sample.measured;
-        r.warmed += sample.warmed;
-        r.dropped += sample.dropped;
+        measureLivePoint(session, config_, library.at(i), r);
         if (tick && !tick())
             break; // abandoned: partial, not publishable.
     }

@@ -2,9 +2,8 @@
 
 #include <utility>
 
-#include "core/checkpoint.hh"
-#include "core/checkpoint_store.hh"
-#include "exec/thread_pool.hh"
+#include "core/schedule.hh"
+#include "core/shard_executor.hh"
 #include "util/logging.hh"
 
 namespace smarts::core {
@@ -12,92 +11,41 @@ namespace smarts::core {
 namespace {
 
 /**
- * The serial sampling loop over one slice of the unit grid — shared
- * verbatim by run() (a single all-units slice), runSharded() (one
- * slice per shard resumed from its checkpoint) and, through the
- * public SystematicSampler::runSlice, the distributed runner — so
- * no execution path can drift from the serial semantics.
+ * One slice of the grid walked in detail on a solo session — the body
+ * of run(), of every shard and of the distributed runner's shard job,
+ * so no execution path can drift from the serial semantics. @p tick
+ * fires at every iteration start; false abandons the slice (partial
+ * result, not publishable — the tail is skipped too).
  */
 SliceResult
 runSliceRange(SimSession &session, const SamplingConfig &config,
               std::uint64_t startIdx, std::uint64_t maxUnits,
               bool runTail, const ProgressTick &tick = {})
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-
     SliceResult r;
-    bool aborted = false;
-    std::uint64_t pos = session.instCount();
-
-    // O(1) jump to the first grid index whose unit starts at or
-    // after the session's position (resumed sessions).
-    std::uint64_t unitIdx = config.nextGridIndex(startIdx, pos);
-    std::uint64_t done = 0;
-
-    while (!session.finished() && done < maxUnits) {
-        // Grid index past any representable stream position: done
-        // (and the unitIdx * u product stays overflow-free).
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const Segment warm = session.detailedRun(unitStart - pos);
-            r.warmed += warm.instructions;
-            pos += warm.instructions;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit.
-        const Segment seg = session.detailedRun(u);
-        pos += seg.instructions;
-        if (seg.instructions == u) {
-            r.measured += u;
-            r.obs.push_back(
-                {static_cast<double>(seg.cycles) /
-                     static_cast<double>(u),
-                 seg.energyNj /
-                     static_cast<double>(seg.instructions)});
-        } else {
-            // Truncated final unit: detailed-simulation cost that
-            // produced no observation — tracked apart from the
-            // measured instructions behind the statistics.
-            r.dropped += seg.instructions;
-        }
-        ++done;
-        unitIdx += k;
-
-        // Liveness hook between units; false abandons the slice
-        // (partial result, not publishable — skip the tail too).
-        if (tick && !tick()) {
-            aborted = true;
-            break;
-        }
-    }
-
-    // Run out the tail so streamLength is the true benchmark length.
-    if (runTail && !aborted)
-        while (!session.finished())
-            session.fastForward(~0ull >> 1, config.warming);
+    detail::walkSchedule(
+        session, config, startIdx, maxUnits, runTail,
+        [&tick](std::uint64_t) { return !tick || tick(); },
+        detail::noSnapshot,
+        [&](std::uint64_t length, bool isUnit) {
+            return detail::measureWindow(session, r, length, isUnit);
+        });
     r.endPos = session.instCount();
     return r;
 }
 
 } // namespace
+
+std::string
+SamplingConfig::validate() const
+{
+    if (!unitSize || !interval)
+        return "the sampling design has a zero unit size or interval";
+    if (offset > ~0ull / unitSize)
+        return log::format("the sampling design's offset ", offset,
+                           " overflows at unit size ", unitSize);
+    return {};
+}
 
 SliceResult
 SystematicSampler::runSlice(SimSession &session,
@@ -145,82 +93,42 @@ SystematicSampler::run(SimSession &session) const
 MatchedEstimate
 SystematicSampler::runMatched(MultiSession &session) const
 {
-    const std::uint64_t u = config_.unitSize;
-    const std::uint64_t w = config_.detailedWarming;
-    const std::uint64_t k = config_.interval;
     const std::size_t n = session.configCount();
-
     MatchedEstimate est;
     est.perConfig.resize(n);
     est.cpiDelta.resize(n);
 
-    std::uint64_t pos = session.instCount();
+    // Every config observes the same windows, so one set of
+    // instruction counters serves them all.
+    SliceResult counts;
+    detail::walkSchedule(
+        session, config_, config_.offset, ~0ull, /*runTail=*/true,
+        detail::keepWalking, detail::noSnapshot,
+        [&](std::uint64_t length, bool isUnit) {
+            const MultiSegment seg = session.detailedRun(length);
+            detail::bookWindow(counts, seg.instructions, length, isUnit, [&] {
+                const double u = static_cast<double>(length);
+                const double cpi0 =
+                    static_cast<double>(seg.per[0].cycles) / u;
+                for (std::size_t c = 0; c < n; ++c) {
+                    const double cpi =
+                        static_cast<double>(seg.per[c].cycles) / u;
+                    est.perConfig[c].cpiStats.add(cpi);
+                    est.perConfig[c].epiStats.add(
+                        seg.per[c].energyNj /
+                        static_cast<double>(seg.instructions));
+                    est.cpiDelta[c].add(cpi - cpi0);
+                }
+            });
+            return seg.instructions;
+        });
 
-    // O(1) jump to the grid (resumed sessions), as in runSlice.
-    std::uint64_t unitIdx =
-        config_.nextGridIndex(config_.offset, pos);
-
-    while (!session.finished()) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode: one
-        // interpretation pass warms every config's state.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config_.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const MultiSegment warm =
-                session.detailedRun(unitStart - pos);
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsWarmed +=
-                    warm.instructions;
-            pos += warm.instructions;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit: every config observes the same window.
-        const MultiSegment seg = session.detailedRun(u);
-        pos += seg.instructions;
-        if (seg.instructions == u) {
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsMeasured +=
-                    seg.instructions;
-            const double cpi0 = static_cast<double>(seg.per[0].cycles) /
-                                static_cast<double>(u);
-            for (std::size_t c = 0; c < n; ++c) {
-                const double cpi =
-                    static_cast<double>(seg.per[c].cycles) /
-                    static_cast<double>(u);
-                est.perConfig[c].cpiStats.add(cpi);
-                est.perConfig[c].epiStats.add(
-                    seg.per[c].energyNj /
-                    static_cast<double>(seg.instructions));
-                est.cpiDelta[c].add(cpi - cpi0);
-            }
-        } else {
-            // Truncated final unit: mirror runSlice's accounting.
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsDropped +=
-                    seg.instructions;
-        }
-        unitIdx += k;
+    for (SmartsEstimate &per : est.perConfig) {
+        per.instructionsMeasured = counts.measured;
+        per.instructionsWarmed = counts.warmed;
+        per.instructionsDropped = counts.dropped;
+        per.streamLength = session.instCount();
     }
-
-    // Run out the tail so streamLength is the true benchmark length.
-    while (!session.finished())
-        session.fastForward(~0ull >> 1, config_.warming);
-    for (std::size_t c = 0; c < n; ++c)
-        est.perConfig[c].streamLength = session.instCount();
     return est;
 }
 
@@ -230,73 +138,11 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               std::size_t shards,
                               exec::ThreadPool &pool) const
 {
-    return runShardedCold(factory, streamLength, shards, pool,
-                          nullptr);
-}
-
-SmartsEstimate
-SystematicSampler::runShardedCold(const SessionFactory &factory,
-                                  std::uint64_t streamLength,
-                                  std::size_t shards,
-                                  exec::ThreadPool &pool,
-                                  CheckpointLibrary *collect) const
-{
     if (!factory)
         SMARTS_FATAL("runSharded needs a session factory");
-    const std::vector<ShardSpec> plan =
-        CheckpointLibrary::planShards(config_, streamLength, shards);
-    if (collect)
-        *collect = CheckpointLibrary::prepare(config_, plan);
-
-    std::vector<SliceResult> results(plan.size());
-    const SamplingConfig config = config_;
-
-    // Each shard job writes only its own result slot; pool.wait()
-    // publishes every slot to this thread, so the batch is
-    // bit-identical at any thread count.
-    auto submitShard = [&results, &pool, &factory, &plan,
-                        config](std::size_t s, ArchCheckpoint &&cp) {
-        pool.submit([&results, &factory, &plan, config, s,
-                     cp = std::move(cp)] {
-            std::unique_ptr<SimSession> session = factory();
-            if (s)
-                session->restoreState(cp.arch, cp.timing);
-            const ShardSpec &shard = plan[s];
-            results[s] = runSliceRange(
-                *session, config, shard.firstUnitIndex,
-                shard.runsTail ? ~0ull : shard.unitCount,
-                shard.runsTail);
-        });
-    };
-
-    // Shard 0 resumes at stream start: dispatch it before the
-    // capture pass so it overlaps checkpoint production.
-    submitShard(0, ArchCheckpoint{});
-
-    std::uint64_t capturePos = 0;
-    if (plan.size() > 1) {
-        std::unique_ptr<SimSession> captureSession = factory();
-        CheckpointLibrary::capture(
-            *captureSession, config_, plan,
-            [&submitShard, collect](std::size_t s,
-                                    ArchCheckpoint &&cp) {
-                if (collect)
-                    collect->record(s, cp);
-                submitShard(s, std::move(cp));
-            });
-        capturePos = captureSession->instCount();
-    }
-    pool.wait();
-
-    SmartsEstimate est;
-    for (const SliceResult &slice : results)
-        foldSlice(est, slice);
-    // Normally the tail shard ran the stream out; if the plan
-    // overstated the stream (caller passed a wrong length), the
-    // capture pass's own progress still bounds what was simulated.
-    if (capturePos > est.streamLength)
-        est.streamLength = capturePos;
-    return est;
+    return detail::runShards<CheckpointLibrary>(
+        *this, factory, SmartsEstimate{}, pool, nullptr, streamLength,
+        shards);
 }
 
 SmartsEstimate
@@ -308,24 +154,19 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               exec::ThreadPool &pool,
                               CheckpointStore &store) const
 {
-    const LibraryKey key = LibraryKey::of(spec, machine, config_);
-    std::string error;
-    if (std::optional<CheckpointLibrary> library =
-            store.tryLoad(key, &error))
-        return runSharded(factory, *library, pool);
-    // A file that exists but refuses to load is a recapture, never a
-    // mis-warm; say why (tryLoad names the key component — benchmark,
-    // sampling design, geometry hash — or the failing record).
-    if (!error.empty())
-        SMARTS_WARN("checkpoint store: recapturing (", error, ")");
-
-    CheckpointLibrary library;
-    const SmartsEstimate est = runShardedCold(
-        factory, streamLength, shards, pool, &library);
-    if (!store.save(key, library, &error))
-        SMARTS_WARN("checkpoint store: could not persist ",
-                    store.pathFor(key), " (", error, ")");
-    return est;
+    if (!factory)
+        SMARTS_FATAL("runSharded needs a session factory");
+    return detail::runShardsStored<CheckpointLibrary>(
+        *this, factory, SmartsEstimate{}, pool, store,
+        LibraryKey::of(spec, machine, config_), streamLength, shards,
+        [](const std::string &path, const LibraryKey &key,
+           std::string *error) {
+            return CheckpointLibrary::load(path, key, error);
+        },
+        [](const CheckpointLibrary &library, const LibraryKey &key,
+           const std::string &path, std::string *error) {
+            return library.save(key, path, error, /*createDirs=*/false);
+        });
 }
 
 SmartsEstimate
@@ -335,39 +176,8 @@ SystematicSampler::runSharded(const SessionFactory &factory,
 {
     if (!factory)
         SMARTS_FATAL("runSharded needs a session factory");
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
-        SMARTS_FATAL("checkpoint library was built for a different "
-                     "sampling design");
-    const std::vector<ShardSpec> &plan = library.plan();
-    if (plan.empty())
-        SMARTS_FATAL("checkpoint library has no shards");
-
-    std::vector<SliceResult> results(plan.size());
-    const SamplingConfig config = config_;
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-        pool.submit([&results, &factory, &plan, &library, config, s] {
-            std::unique_ptr<SimSession> session = factory();
-            if (s)
-                session->restoreState(library.at(s).arch,
-                                      library.at(s).timing);
-            const ShardSpec &shard = plan[s];
-            results[s] = runSliceRange(
-                *session, config, shard.firstUnitIndex,
-                shard.runsTail ? ~0ull : shard.unitCount,
-                shard.runsTail);
-        });
-    }
-    pool.wait();
-
-    SmartsEstimate est;
-    for (const SliceResult &slice : results)
-        foldSlice(est, slice);
-    return est;
+    return detail::runShards(*this, factory, SmartsEstimate{}, pool,
+                             &library);
 }
 
 } // namespace smarts::core

@@ -3,8 +3,8 @@
 #include <memory>
 #include <utility>
 
-#include "core/checkpoint_store.hh"
-#include "exec/thread_pool.hh"
+#include "core/schedule.hh"
+#include "core/shard_executor.hh"
 #include "util/logging.hh"
 
 namespace smarts::mp {
@@ -12,10 +12,10 @@ namespace smarts::mp {
 namespace {
 
 /**
- * The serial mix sampling loop over one slice of the unit grid —
- * core::runSliceRange with rounds for positions and per-lane
- * dual-world observations. Shared by run() and every sharded mode so
- * no path can drift from the serial semantics.
+ * One slice of the round grid walked in detail on a co-run — the
+ * body of run() and of every shard, so no path can drift from the
+ * serial semantics. Every program observes the same U-round
+ * (= U-instruction) window, in both worlds.
  */
 MixSliceResult
 runMixSliceRange(MixSession &session,
@@ -23,82 +23,32 @@ runMixSliceRange(MixSession &session,
                  std::uint64_t startIdx, std::uint64_t maxUnits,
                  bool runTail)
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    const std::size_t n = session.programCount();
-
     MixSliceResult r;
-    std::uint64_t pos = session.roundCount();
-
-    // O(1) jump to the first grid index whose unit starts at or
-    // after the session's position (resumed sessions).
-    std::uint64_t unitIdx = config.nextGridIndex(startIdx, pos);
-    std::uint64_t done = 0;
-
-    while (!session.finished() && done < maxUnits) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const MixSegment warm =
-                session.detailedRun(unitStart - pos);
-            r.warmed += warm.rounds;
-            pos += warm.rounds;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit: every program observes the same
-        // U-round (= U-instruction) window, in both worlds.
-        const MixSegment seg = session.detailedRun(u);
-        pos += seg.rounds;
-        if (seg.rounds == u) {
-            r.measured += u;
-            MixUnitObservation o;
-            o.per.resize(n);
-            for (std::size_t p = 0; p < n; ++p) {
-                const MixLaneSegment &ls = seg.per[p];
-                MixLaneObservation &lo = o.per[p];
-                lo.coCpi = static_cast<double>(ls.coCycles) /
-                           static_cast<double>(u);
-                lo.coEpi =
-                    ls.coEnergyNj / static_cast<double>(u);
-                lo.soloCpi = static_cast<double>(ls.soloCycles) /
-                             static_cast<double>(u);
-                lo.soloEpi =
-                    ls.soloEnergyNj / static_cast<double>(u);
-                lo.sharedAccesses = ls.sharedAccesses;
-                lo.sharedMisses = ls.sharedMisses;
-                lo.shadowAccesses = ls.shadowAccesses;
-                lo.shadowMisses = ls.shadowMisses;
-            }
-            r.obs.push_back(std::move(o));
-        } else {
-            // Truncated final unit: detailed-simulation cost that
-            // produced no observation.
-            r.dropped += seg.rounds;
-        }
-        ++done;
-        unitIdx += k;
-    }
-
-    // Run out the tail so endPos is the true mix stream length.
-    if (runTail)
-        while (!session.finished())
-            session.fastForward(~0ull >> 1, config.warming);
+    core::detail::walkSchedule(
+        session, config, startIdx, maxUnits, runTail,
+        core::detail::keepWalking, core::detail::noSnapshot,
+        [&](std::uint64_t length, bool isUnit) {
+            const MixSegment seg = session.detailedRun(length);
+            core::detail::bookWindow(r, seg.rounds, length, isUnit, [&] {
+                const double u = static_cast<double>(length);
+                MixUnitObservation o;
+                o.per.resize(session.programCount());
+                for (std::size_t p = 0; p < o.per.size(); ++p) {
+                    const MixLaneSegment &ls = seg.per[p];
+                    MixLaneObservation &lo = o.per[p];
+                    lo.coCpi = static_cast<double>(ls.coCycles) / u;
+                    lo.coEpi = ls.coEnergyNj / u;
+                    lo.soloCpi = static_cast<double>(ls.soloCycles) / u;
+                    lo.soloEpi = ls.soloEnergyNj / u;
+                    lo.sharedAccesses = ls.sharedAccesses;
+                    lo.sharedMisses = ls.sharedMisses;
+                    lo.shadowAccesses = ls.shadowAccesses;
+                    lo.shadowMisses = ls.shadowMisses;
+                }
+                r.obs.push_back(std::move(o));
+            });
+            return seg.rounds;
+        });
     r.endPos = session.roundCount();
     return r;
 }
@@ -193,107 +143,29 @@ MixSampler::run() const
     return est;
 }
 
+std::unique_ptr<MixSession>
+MixSampler::newSession() const
+{
+    return std::make_unique<MixSession>(mix_, machine_);
+}
+
 MixEstimate
 MixSampler::runSharded(std::uint64_t streamLength,
                        std::size_t shards,
                        exec::ThreadPool &pool) const
 {
-    return runShardedCold(streamLength, shards, pool, nullptr);
-}
-
-MixEstimate
-MixSampler::runShardedCold(std::uint64_t streamLength,
-                           std::size_t shards,
-                           exec::ThreadPool &pool,
-                           MixLibrary *collect) const
-{
-    const std::vector<core::ShardSpec> plan =
-        core::CheckpointLibrary::planShards(sampling_, streamLength,
-                                            shards);
-    if (collect)
-        *collect = MixLibrary::prepare(sampling_, plan);
-
-    std::vector<MixSliceResult> results(plan.size());
-
-    // Each shard job writes only its own result slot; pool.wait()
-    // publishes every slot to this thread, so the batch is
-    // bit-identical at any thread count.
-    auto submitShard = [&results, &pool, &plan,
-                        this](std::size_t s, MixCheckpoint &&cp) {
-        pool.submit([&results, &plan, this, s,
-                     cp = std::move(cp)] {
-            MixSession session = makeSession();
-            if (s)
-                session.restoreState(cp.state);
-            results[s] = runSlice(session, plan[s]);
-        });
-    };
-
-    // Shard 0 resumes at round 0: dispatch it before the capture
-    // pass so it overlaps checkpoint production.
-    submitShard(0, MixCheckpoint{});
-
-    std::uint64_t capturePos = 0;
-    if (plan.size() > 1) {
-        MixSession captureSession = makeSession();
-        MixLibrary::capture(
-            captureSession, sampling_, plan,
-            [&submitShard, collect](std::size_t s,
-                                    MixCheckpoint &&cp) {
-                if (collect)
-                    collect->record(s, cp);
-                submitShard(s, std::move(cp));
-            });
-        capturePos = captureSession.roundCount();
-    }
-    pool.wait();
-
-    MixEstimate est = emptyEstimate();
-    for (const MixSliceResult &slice : results)
-        foldSlice(est, slice);
-    // Normally the tail shard ran the stream out; if the plan
-    // overstated the stream, the capture pass's own progress still
-    // bounds what was simulated.
-    for (MixProgramEstimate &pe : est.perProgram) {
-        if (capturePos > pe.coRun.streamLength)
-            pe.coRun.streamLength = capturePos;
-        if (capturePos > pe.solo.streamLength)
-            pe.solo.streamLength = capturePos;
-    }
-    return est;
+    return core::detail::runShards<MixLibrary>(
+        *this, [this] { return newSession(); }, emptyEstimate(), pool,
+        nullptr, streamLength, shards);
 }
 
 MixEstimate
 MixSampler::runSharded(const MixLibrary &library,
                        exec::ThreadPool &pool) const
 {
-    const core::SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != sampling_.unitSize ||
-        built.detailedWarming != sampling_.detailedWarming ||
-        built.interval != sampling_.interval ||
-        built.offset != sampling_.offset ||
-        built.warming != sampling_.warming)
-        SMARTS_FATAL("mix library was built for a different "
-                     "sampling design");
-    const std::vector<core::ShardSpec> &plan = library.plan();
-    if (plan.empty())
-        SMARTS_FATAL("mix library has no shards");
-
-    std::vector<MixSliceResult> results(plan.size());
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-        pool.submit([&results, &plan, &library, this, s] {
-            MixSession session = makeSession();
-            if (s)
-                session.restoreState(library.at(s).state);
-            results[s] = runSlice(session, plan[s]);
-        });
-    }
-    pool.wait();
-
-    MixEstimate est = emptyEstimate();
-    for (const MixSliceResult &slice : results)
-        foldSlice(est, slice);
-    return est;
+    return core::detail::runShards(
+        *this, [this] { return newSession(); }, emptyEstimate(), pool,
+        &library);
 }
 
 MixEstimate
@@ -301,42 +173,18 @@ MixSampler::runSharded(std::uint64_t streamLength,
                        std::size_t shards, exec::ThreadPool &pool,
                        core::CheckpointStore &store) const
 {
-    const core::LibraryKey key = mixKey(mix_, machine_, sampling_);
-    std::optional<MixLibrary> library;
-    std::string error;
-    store.loadEntry(
-        key,
-        [&library, this](const std::string &path,
-                         std::string *loadError) {
-            library = MixLibrary::load(path, mix_,
-                                       mixKey(mix_, machine_,
-                                              samplingConfig()),
-                                       loadError);
-            return library.has_value();
+    return core::detail::runShardsStored<MixLibrary>(
+        *this, [this] { return newSession(); }, emptyEstimate(), pool,
+        store, mixKey(mix_, machine_, sampling_), streamLength, shards,
+        [this](const std::string &path, const core::LibraryKey &key,
+               std::string *error) {
+            return MixLibrary::load(path, mix_, key, error);
         },
-        &error);
-    if (library)
-        return runSharded(*library, pool);
-    // A file that exists but refuses to load is a recapture, never a
-    // mis-warm; say why.
-    if (!error.empty())
-        SMARTS_WARN("checkpoint store: recapturing mix (", error,
-                    ")");
-
-    MixLibrary captured;
-    const MixEstimate est =
-        runShardedCold(streamLength, shards, pool, &captured);
-    if (!store.publishEntry(
-            key,
-            [this, &captured, &key](const std::string &path,
-                                    std::string *saveError) {
-                return captured.save(mix_, key, path, saveError,
-                                     /*createDirs=*/false);
-            },
-            &error))
-        SMARTS_WARN("checkpoint store: could not persist ",
-                    store.pathFor(key), " (", error, ")");
-    return est;
+        [this](const MixLibrary &library, const core::LibraryKey &key,
+               const std::string &path, std::string *error) {
+            return library.save(mix_, key, path, error,
+                                /*createDirs=*/false);
+        });
 }
 
 MixEstimate

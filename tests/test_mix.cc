@@ -6,8 +6,8 @@
  * save/load roundtrip is byte-exact and every mis-load refuses by
  * name (wrong mix, solo-flavor file, mix file through the solo
  * loader); and a hand-downgraded version-1 solo checkpoint library
- * still loads through the v1->v2 migration path and reproduces the
- * serial estimate bit for bit.
+ * is refused by name, after which the store-backed estimate
+ * recaptures and reproduces the serial estimate bit for bit.
  */
 
 #include <cstdint>
@@ -258,15 +258,16 @@ testMixLibraryRoundtripAndRefusals()
 }
 
 /**
- * v1 -> v2 migration: a version-1 file (no flavor byte — the format
- * before the co-run tier) must still load and reproduce the serial
- * estimate bit for bit. The v1 bytes are produced by downgrading a
- * freshly serialized v2 library: drop the flavor byte at offset 16,
- * patch the version field back to 1, reseal the checksum — v1 is
- * exactly v2 minus the flavor byte by construction.
+ * A version-1 file (no flavor byte — the format before the co-run
+ * tier) is refused by name: the store is a cache, so the old file is
+ * a refusal, a miss and a recapture, and the store-backed estimate
+ * still equals the serial run bit for bit. The v1 bytes come from
+ * downgrading a freshly persisted v2 library in place: drop the
+ * flavor byte at offset 16, patch the version field back to 1,
+ * reseal the checksum — v1 is exactly v2 minus the flavor byte.
  */
 void
-testCheckpointV1MigrationLoad()
+testCheckpointV1RefusedAndRecaptured()
 {
     const uarch::MachineConfig machine =
         uarch::MachineConfig::eightWay();
@@ -288,9 +289,10 @@ testCheckpointV1MigrationLoad()
     const core::CheckpointLibrary built =
         core::CheckpointLibrary::build(session, sc, plan);
 
-    const std::string path = std::string(kRoot) + "/v1.smck";
+    core::CheckpointStore store(std::string(kRoot) + "/v1_store");
     std::string error;
-    CHECK(built.save(key, path, &error));
+    CHECK(store.save(key, built, &error));
+    const std::string path = store.pathFor(key);
 
     // Downgrade to v1 on disk.
     std::vector<std::uint8_t> bytes = readFileBytes(path);
@@ -302,9 +304,9 @@ testCheckpointV1MigrationLoad()
     writeFileBytes(path, bytes);
     resealChecksum(path);
 
-    const auto migrated =
-        core::CheckpointLibrary::load(path, key, &error);
-    CHECK(migrated.has_value());
+    error.clear();
+    CHECK(!core::CheckpointLibrary::load(path, key, &error).has_value());
+    CHECK(error.find("format version 1") != std::string::npos);
 
     const core::SystematicSampler solo(sc);
     const core::SessionFactory factory = [&spec, &machine] {
@@ -313,9 +315,13 @@ testCheckpointV1MigrationLoad()
     core::SimSession serialSession(spec, machine);
     const core::SmartsEstimate serial = solo.run(serialSession);
     exec::ThreadPool pool(2);
-    const core::SmartsEstimate sharded =
-        solo.runSharded(factory, *migrated, pool);
-    CHECK(fingerprint(serial) == fingerprint(sharded));
+    const core::SmartsEstimate recaptured = solo.runSharded(
+        factory, spec, machine, streamLength, 3, pool, store);
+    CHECK(fingerprint(serial) == fingerprint(recaptured));
+    CHECK_EQ(store.counters().refusals, std::uint64_t(1));
+
+    // The recapture replaced the old file with a current one.
+    CHECK(core::CheckpointLibrary::load(path, key, &error).has_value());
 }
 
 } // namespace
@@ -329,6 +335,6 @@ main()
     testMixThreadDeterminism();
     testMixStoreColdVsWarm();
     testMixLibraryRoundtripAndRefusals();
-    testCheckpointV1MigrationLoad();
+    testCheckpointV1RefusedAndRecaptured();
     TEST_MAIN_SUMMARY();
 }
