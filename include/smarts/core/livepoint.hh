@@ -61,29 +61,13 @@ namespace smarts::core {
  */
 constexpr std::uint32_t kLivePointFormatVersion = 3;
 
-/** Warm resume state for ONE measured unit's (W + U) window. */
-struct LivePoint
-{
-    /** Grid index (offset + m*k form) of the measured unit. */
-    std::uint64_t unitIndex = 0;
-
-    /**
-     * Instruction position of the snapshot: the serial loop's
-     * iteration start for this unit (at most W before the unit).
-     */
-    std::uint64_t position = 0;
-
-    ArchState arch;
-    TimingState timing;
-
-    /** Approximate in-memory footprint, for capacity planning. */
-    std::size_t
-    byteSize() const
-    {
-        return arch.byteSize() + timing.byteSize() +
-               2 * sizeof(std::uint64_t);
-    }
-};
+/**
+ * Warm resume state for ONE measured unit's (W + U) window: a full
+ * checkpoint taken at the unit's iteration start (position, at most
+ * W before the unit), whose unitIndex is the measured unit's grid
+ * index (offset + m*k form).
+ */
+using LivePoint = ArchCheckpoint;
 
 class LivePointLibrary
 {

@@ -554,6 +554,38 @@ CheckpointStore::ensure(
                       /*requirePlanMatch=*/true);
 }
 
+namespace {
+
+/**
+ * Append to @p missing / @p keys the configs of @p configs whose
+ * entry @p present(key) does not accept, one per warm-state
+ * geometry: geometry-equal configs share a key, so one captured
+ * library serves them all.
+ */
+template <typename Present>
+void
+collectMissing(const workloads::BenchmarkSpec &spec,
+               const std::vector<uarch::MachineConfig> &configs,
+               const SamplingConfig &sampling, Present &&present,
+               std::vector<uarch::MachineConfig> &missing,
+               std::vector<LibraryKey> &keys)
+{
+    for (const uarch::MachineConfig &config : configs) {
+        const LibraryKey key = LibraryKey::of(spec, config, sampling);
+        if (present(key))
+            continue;
+        bool duplicate = false;
+        for (const LibraryKey &seen : keys)
+            duplicate |= seen.geometryHash == key.geometryHash;
+        if (!duplicate) {
+            missing.push_back(config);
+            keys.push_back(key);
+        }
+    }
+}
+
+} // namespace
+
 std::size_t
 CheckpointStore::ensureImpl(
     const workloads::BenchmarkSpec &spec,
@@ -561,55 +593,42 @@ CheckpointStore::ensureImpl(
     const SamplingConfig &sampling,
     const std::vector<ShardSpec> &plan, bool requirePlanMatch) const
 {
-    // Collect the configs whose key is missing, deduplicating
-    // geometry-equal configs (their warm state is identical, so one
-    // captured library serves them all). "Present" means a library
-    // that actually LOADS — a file that exists but refuses (stale
-    // version, corruption) is a miss to recapture, or ensure()
-    // would report configs as stored that nothing can resume — and,
-    // when the caller pinned a plan, one captured under that exact
-    // shard split.
-    std::vector<const uarch::MachineConfig *> missing;
-    std::vector<LibraryKey> missingKeys;
-    for (const uarch::MachineConfig &config : configs) {
-        const LibraryKey key = LibraryKey::of(spec, config, sampling);
-        std::string error;
-        if (std::optional<CheckpointLibrary> library =
-                tryLoad(key, &error)) {
-            if (!requirePlanMatch || library->plan() == plan)
-                continue;
-            SMARTS_WARN("checkpoint store: ", pathFor(key),
-                        " holds a different shard plan; recapturing "
-                        "with the required one");
-        } else if (!error.empty()) {
-            SMARTS_WARN("checkpoint store: recapturing (", error,
-                        ")");
-        }
-        bool duplicate = false;
-        for (const LibraryKey &seen : missingKeys)
-            duplicate |= seen.geometryHash == key.geometryHash;
-        if (duplicate)
-            continue;
-        missing.push_back(&config);
-        missingKeys.push_back(key);
-    }
+    // "Present" means a library that actually LOADS — a file that
+    // exists but refuses (stale version, corruption) is a miss to
+    // recapture, or ensure() would report configs as stored that
+    // nothing can resume — and, when the caller pinned a plan, one
+    // captured under that exact shard split.
+    std::vector<uarch::MachineConfig> missing;
+    std::vector<LibraryKey> keys;
+    collectMissing(
+        spec, configs, sampling,
+        [&](const LibraryKey &key) {
+            std::string error;
+            const std::optional<CheckpointLibrary> library =
+                tryLoad(key, &error);
+            if (library && (!requirePlanMatch || library->plan() == plan))
+                return true;
+            if (library)
+                SMARTS_WARN("checkpoint store: ", pathFor(key),
+                            " holds a different shard plan; "
+                            "recapturing with the required one");
+            else if (!error.empty())
+                SMARTS_WARN("checkpoint store: recapturing (", error,
+                            ")");
+            return false;
+        },
+        missing, keys);
     if (missing.empty())
         return 0;
 
-    std::vector<uarch::MachineConfig> captureConfigs;
-    captureConfigs.reserve(missing.size());
-    for (const uarch::MachineConfig *config : missing)
-        captureConfigs.push_back(*config);
-
-    MultiSession session(spec, captureConfigs);
+    MultiSession session(spec, missing);
     const std::vector<CheckpointLibrary> libraries =
         CheckpointLibrary::buildMulti(session, sampling, plan);
-
     for (std::size_t i = 0; i < libraries.size(); ++i) {
         std::string error;
-        if (!save(missingKeys[i], libraries[i], &error))
+        if (!save(keys[i], libraries[i], &error))
             SMARTS_FATAL("checkpoint store: cannot save ",
-                         pathFor(missingKeys[i]), ": ", error);
+                         pathFor(keys[i]), ": ", error);
     }
     return libraries.size();
 }
@@ -620,45 +639,32 @@ CheckpointStore::ensureLivePoints(
     const std::vector<uarch::MachineConfig> &configs,
     const SamplingConfig &sampling) const
 {
-    // Same miss/dedup policy as ensureImpl: "present" means a
-    // library that actually LOADS, and geometry-equal configs share
-    // one capture.
-    std::vector<const uarch::MachineConfig *> missing;
-    std::vector<LibraryKey> missingKeys;
-    for (const uarch::MachineConfig &config : configs) {
-        const LibraryKey key = LibraryKey::of(spec, config, sampling);
-        std::string error;
-        if (tryLoadLivePoints(key, &error))
-            continue;
-        if (!error.empty())
-            SMARTS_WARN("checkpoint store: recapturing live-points "
-                        "(", error, ")");
-        bool duplicate = false;
-        for (const LibraryKey &seen : missingKeys)
-            duplicate |= seen.geometryHash == key.geometryHash;
-        if (duplicate)
-            continue;
-        missing.push_back(&config);
-        missingKeys.push_back(key);
-    }
+    // Same miss/dedup policy as ensureImpl.
+    std::vector<uarch::MachineConfig> missing;
+    std::vector<LibraryKey> keys;
+    collectMissing(
+        spec, configs, sampling,
+        [&](const LibraryKey &key) {
+            std::string error;
+            if (tryLoadLivePoints(key, &error))
+                return true;
+            if (!error.empty())
+                SMARTS_WARN("checkpoint store: recapturing "
+                            "live-points (", error, ")");
+            return false;
+        },
+        missing, keys);
     if (missing.empty())
         return 0;
 
-    std::vector<uarch::MachineConfig> captureConfigs;
-    captureConfigs.reserve(missing.size());
-    for (const uarch::MachineConfig *config : missing)
-        captureConfigs.push_back(*config);
-
-    MultiSession session(spec, captureConfigs);
+    MultiSession session(spec, missing);
     const std::vector<LivePointLibrary> libraries =
         LivePointLibrary::buildMulti(session, sampling);
-
     for (std::size_t i = 0; i < libraries.size(); ++i) {
         std::string error;
-        if (!saveLivePoints(libraries[i], missingKeys[i], &error))
+        if (!saveLivePoints(libraries[i], keys[i], &error))
             SMARTS_FATAL("checkpoint store: cannot save ",
-                         livePointPathFor(missingKeys[i]), ": ",
-                         error);
+                         livePointPathFor(keys[i]), ": ", error);
     }
     return libraries.size();
 }

@@ -51,7 +51,7 @@ void
 measureLivePoint(SimSession &session, const SamplingConfig &config,
                  const LivePoint &point, SliceResult &out)
 {
-    session.restoreState(point.arch, point.timing);
+    point.restore(session);
     const std::uint64_t unitStart = point.unitIndex * config.unitSize;
     if (unitStart > point.position)
         detail::measureWindow(session, out, unitStart - point.position,
@@ -156,7 +156,7 @@ LivePointLibrary::build(SimSession &session,
     library.streamLength_ = liveCaptureSchedule(
         session, config, [&](std::uint64_t unitIdx) {
             LivePoint point;
-            session.saveState(point.arch, point.timing);
+            point.save(session);
             point.position = session.instCount();
             point.unitIndex = unitIdx;
             library.points_.push_back(std::move(point));

@@ -574,6 +574,9 @@ JobManifest::load(const std::string &path, std::string *error)
             " — leader/runner timing models or protocol versions "
             "diverged"));
 
+    const std::string invalid = m.sampling.validate();
+    if (!invalid.empty())
+        return refuse(log::format(path, " is corrupt (", invalid, ")"));
     if (m.mode == JobMode::Shard) {
         if (m.totalUnits != 0 || !m.ranges.empty())
             return refuse(log::format(

@@ -157,6 +157,12 @@ StoreRequest::load(const std::string &path, std::string *error)
                                         "trailing bytes"));
     if (r.reqId.empty())
         return refuse(log::format(path, " has an empty request id"));
+    // A design no capture can walk (zero U or k, an overflowing
+    // offset) is refused here, not fatal deep in the daemon's
+    // capture pass.
+    const std::string invalid = r.sampling.validate();
+    if (!invalid.empty())
+        return refuse(log::format(path, " is refused (", invalid, ")"));
 
     // The geometry-hash claim must be reproducible from the embedded
     // config by THIS build — a client built from incompatible

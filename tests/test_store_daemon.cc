@@ -14,7 +14,9 @@
  *  - a daemon that dies mid-lookup degrades to the leader's local
  *    store, which still produces the identical estimate;
  *  - one daemon per service directory (the presence marker is an
- *    exclusive lock), and removing the marker stops it cleanly.
+ *    exclusive lock), and removing the marker stops it cleanly;
+ *  - a well-formed request for a design no capture can walk gets a
+ *    Refused reply instead of killing the daemon.
  */
 
 #include <chrono>
@@ -104,11 +106,11 @@ foldFingerprint(const core::LivePointLibrary &library)
  *  test log carries its output). */
 FILE *
 startDaemon(const std::string &root, const std::string &svc,
-            const std::string &json)
+            const std::string &json, const std::string &extra = "")
 {
     const std::string cmd = log::format(
         g_storedBin, " --root=", root, " --svc=", svc,
-        " --ttl=120 --poll-ms=5 --json=", json, " 2>&1");
+        " --ttl=120 --poll-ms=5 --json=", json, extra, " 2>&1");
     return ::popen(cmd.c_str(), "r");
 }
 
@@ -320,6 +322,71 @@ testNoDaemonIsTheNormalLocalPath()
     CHECK(!warm.captured);
 }
 
+/**
+ * A checksummed, well-formed request whose sampling design has
+ * interval = 0 used to reach a fatal in the daemon's capture pass:
+ * exit 1, presence marker left behind. It must get a Refused reply
+ * naming the design, a valid request after it must still be served,
+ * and the daemon must still stop cleanly.
+ */
+void
+testPoisonRequestIsRefused()
+{
+    const std::string base = std::string(kRoot) + "/poison";
+    const std::string svc = base + "/svc";
+    fs::create_directories(base);
+    // Two requests, then the daemon stops on its own: its clean
+    // exit is what removes the presence marker.
+    FILE *daemon = startDaemon(base + "/daemon_store", svc,
+                               base + "/BENCH_store.json",
+                               " --max-requests=2");
+    CHECK(daemon != nullptr);
+    CHECK(waitForMarker(svc, true));
+
+    distrib::StoreRequest poison;
+    poison.reqId = "poison-0";
+    poison.benchmark = spec();
+    poison.sampling = sampling();
+    poison.sampling.interval = 0;
+    poison.machine = uarch::MachineConfig::eightWay();
+    std::string error;
+    CHECK(poison.save(distrib::requestPath(svc, poison.reqId), &error));
+
+    const std::string reply = distrib::replyPath(svc, poison.reqId);
+    bool replied = false;
+    for (int i = 0; i < 2000 && !replied; ++i) {
+        replied = fs::exists(reply);
+        if (!replied)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    CHECK(replied);
+    const std::optional<distrib::StoreReply> refused =
+        distrib::StoreReply::load(reply, &error);
+    CHECK(refused.has_value());
+    if (refused) {
+        CHECK(refused->status == distrib::StoreReplyStatus::Refused);
+        CHECK(refused->error.find("zero unit size or interval") !=
+              std::string::npos);
+    }
+
+    core::CheckpointStore local(base + "/leader_store");
+    distrib::StoreServiceClient client(svc, "after-poison");
+    const distrib::StoreServiceOutcome served = client.ensureLivePoints(
+        local, spec(), uarch::MachineConfig::eightWay(), sampling(),
+        60.0);
+    CHECK(served.library.has_value());
+    CHECK(!served.degraded);
+    CHECK(served.reply.has_value());
+    if (served.library)
+        CHECK(foldFingerprint(*served.library) ==
+              fingerprint(serialEstimate()));
+
+    const auto [status, output] = finishDaemon(daemon);
+    CHECK_EQ(status, 0);
+    CHECK(output.find("1 refused") != std::string::npos);
+    CHECK(!distrib::daemonPresent(svc));
+}
+
 } // namespace
 
 int
@@ -338,6 +405,7 @@ main(int argc, char **argv)
     testTwoLeadersSingleFlightBitIdentical();
     testDaemonDeathDegradesToLocal();
     testNoDaemonIsTheNormalLocalPath();
+    testPoisonRequestIsRefused();
 
     TEST_MAIN_SUMMARY();
 }
