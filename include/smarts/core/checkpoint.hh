@@ -198,6 +198,28 @@ struct ShardSpec
 
     /** Last shard: run the stream out so streamLength is exact. */
     bool runsTail = false;
+
+    /**
+     * Field order is normative (docs/checkpoint-format.md § Plan);
+     * job manifests and result files embed the same encoding.
+     */
+    void
+    write(util::BinaryWriter &out) const
+    {
+        out.u64(firstUnitIndex);
+        out.u64(unitCount);
+        out.u64(resumePos);
+        out.u8(runsTail ? 1 : 0);
+    }
+
+    void
+    read(util::BinaryReader &in)
+    {
+        firstUnitIndex = in.u64();
+        unitCount = in.u64();
+        resumePos = in.u64();
+        runsTail = in.u8() != 0;
+    }
 };
 
 /**
@@ -219,6 +241,16 @@ inline bool
 operator!=(const ShardSpec &a, const ShardSpec &b)
 {
     return !(a == b);
+}
+
+/** The whole grid of @p config as one shard: the serial run. */
+inline ShardSpec
+wholeGrid(const SamplingConfig &config)
+{
+    ShardSpec all;
+    all.firstUnitIndex = config.offset;
+    all.runsTail = true;
+    return all;
 }
 
 namespace detail {

@@ -14,24 +14,24 @@
  * order, watch the streaming confidence interval, stop the moment
  * the paper's Eq. 1-3 target is met.
  *
- * Each snapshot is taken at the serial sampling loop's iteration
- * start for that unit — after the inter-unit gap is fast-forwarded,
- * before detailed warming — where the capture pass's state is
- * bit-identical to the serial run's (fastForward over gaps,
- * SimSession::warmAsDetailed over the regions the serial run
- * simulates in detail, exactly like the shard capture pass). A unit
- * measured from its live-point therefore reproduces the serial
- * run's observation bit for bit, and runAnytime driven to
- * completion folds to an estimate byte-identical to run()'s.
+ * The capture pass is the one schedule walker (core/schedule.hh)
+ * with state-equivalent windows (SimSession::warmAsDetailed), its
+ * after-gap hook snapshotting each unit's iteration start — after
+ * the inter-unit gap, before detailed warming — where the capture
+ * pass's state is bit-identical to the serial run's. A unit measured
+ * from its live-point replays the walker's own W/U window
+ * (detail::measureWindow), so it reproduces the serial run's
+ * observation bit for bit, and runAnytime driven to completion folds
+ * to an estimate byte-identical to run()'s.
  *
- * On disk (save()/load(), version 2 of docs/checkpoint-format.md,
- * `.smlp`) the per-unit states are delta-encoded against the
- * previous unit's raw state (util/delta_codec.hh) — consecutive
- * units share nearly all serialized state, so a library of hundreds
- * of live-points costs a small multiple of one full checkpoint —
- * with a per-record FNV-1a checksum over the DECODED state so
- * corruption anywhere in a chain is pinned to the record where it
- * breaks. CheckpointStore persists live-point libraries next to
+ * On disk (save()/load(), `.smlp` version 3 of
+ * docs/checkpoint-format.md) the per-unit states are delta-encoded
+ * against the previous unit's raw state (util/delta_codec.hh) —
+ * consecutive units share nearly all serialized state, so a library
+ * of hundreds of live-points costs a small multiple of one full
+ * checkpoint — with a per-record FNV-1a checksum over the DECODED
+ * state so corruption anywhere in a chain is pinned to the record
+ * where it breaks. CheckpointStore persists live-point libraries next to
  * shard libraries under the same LibraryKey geometry-hash scheme.
  */
 
@@ -53,11 +53,11 @@ namespace smarts::core {
 
 /**
  * On-disk live-point library format version (`.smlp` files).
- * Version 3 adds the same flavor byte as checkpoint format v2
- * (kCheckpointFlavorSolo/Mix, after the endianness marker);
- * version-2 files — always solo — still load. Flavor 1 (co-run mix
- * live-points) is RESERVED: no writer exists yet, and the loader
- * refuses it by name so the reservation cannot rot silently.
+ * Version 3 carries the same flavor byte as checkpoint format v2
+ * (kCheckpointFlavorSolo/Mix, after the endianness marker); other
+ * versions are refused. Flavor 1 (co-run mix live-points) is
+ * RESERVED: no writer exists yet, and the loader refuses it by name
+ * so the reservation cannot rot silently.
  */
 constexpr std::uint32_t kLivePointFormatVersion = 3;
 
@@ -73,17 +73,6 @@ class LivePointLibrary
 {
   public:
     /**
-     * Stream @p session (fresh, at stream start) through the serial
-     * sampling schedule of @p config with state-equivalent warming,
-     * snapshotting every measured unit's iteration start, then run
-     * the stream out so streamLength() is the true dynamic length.
-     * Costs roughly one functional-warming pass plus one snapshot
-     * per unit.
-     */
-    static LivePointLibrary build(SimSession &session,
-                                  const SamplingConfig &config);
-
-    /**
      * Per-point capture hook: called with the library slot index and
      * the freshly captured point, immediately after it is appended.
      * The reference is valid ONLY for the duration of the call (the
@@ -95,15 +84,20 @@ class LivePointLibrary
         std::function<void(std::size_t, const LivePoint &)>;
 
     /**
-     * build() with a capture hook: @p sink fires once per captured
-     * live-point, in stream order, on the calling thread. This is
-     * the primitive under SystematicSampler::runAnytimeLeapfrog —
-     * overlap measurement of already-captured units with capture of
-     * the rest.
+     * Stream @p session (fresh, at stream start) through the serial
+     * sampling schedule of @p config with state-equivalent warming,
+     * snapshotting every measured unit's iteration start, then run
+     * the stream out so streamLength() is the true dynamic length.
+     * Costs roughly one functional-warming pass plus one snapshot
+     * per unit. @p sink (optional) fires once per captured
+     * live-point, in stream order, on the calling thread — the
+     * primitive under SystematicSampler::runAnytimeLeapfrog, which
+     * overlaps measurement of captured units with capture of the
+     * rest.
      */
     static LivePointLibrary build(SimSession &session,
                                   const SamplingConfig &config,
-                                  const PointSink &sink);
+                                  const PointSink &sink = {});
 
     /**
      * Multi-config capture: ONE streaming pass over @p session (N
@@ -117,8 +111,8 @@ class LivePointLibrary
     buildMulti(MultiSession &session, const SamplingConfig &config);
 
     /**
-     * Serialize under @p key into the delta-encoded v2 format
-     * (docs/checkpoint-format.md § Version 2) and publish atomically
+     * Serialize under @p key into the delta-encoded `.smlp` format
+     * (docs/checkpoint-format.md) and publish atomically
      * at @p path. False with @p error set on filesystem failure.
      */
     bool save(const LibraryKey &key, const std::string &path,

@@ -40,11 +40,11 @@ struct ShardSpec;
 using SessionFactory = std::function<std::unique_ptr<SimSession>()>;
 
 /**
- * Called between sampled units of a slice: a liveness/progress hook
- * for long executions (the distributed runner heartbeats its claim
- * marker here). Return false to ABANDON the slice — the loop stops
- * where it is and the partial result must not be published or
- * folded.
+ * Called at every iteration start of a slice — before its first unit
+ * and after each one: a liveness/progress hook for long executions
+ * (the distributed runner heartbeats its claim marker here). Return
+ * false to ABANDON the slice — the walk stops where it is and the
+ * partial result must not be published or folded.
  */
 using ProgressTick = std::function<bool()>;
 

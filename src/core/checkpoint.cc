@@ -295,12 +295,8 @@ ShardLibraryBase::writeKeyAndPlan(const LibraryKey &key,
 {
     key.write(out);
     out.u64(plan_.size());
-    for (const ShardSpec &shard : plan_) {
-        out.u64(shard.firstUnitIndex);
-        out.u64(shard.unitCount);
-        out.u64(shard.resumePos);
-        out.u8(shard.runsTail ? 1 : 0);
-    }
+    for (const ShardSpec &shard : plan_)
+        shard.write(out);
 }
 
 std::string
@@ -320,12 +316,8 @@ ShardLibraryBase::readKeyAndPlan(util::BinaryReader &in,
         return log::format(path, " is corrupt (shard count ",
                            shardCount, ")");
     plan_.resize(shardCount);
-    for (ShardSpec &shard : plan_) {
-        shard.firstUnitIndex = in.u64();
-        shard.unitCount = in.u64();
-        shard.resumePos = in.u64();
-        shard.runsTail = in.u8() != 0;
-    }
+    for (ShardSpec &shard : plan_)
+        shard.read(in);
     // The plan must be one planShards could have produced — the
     // checksum only proves the writer was careful, not honest, and
     // executing a malformed plan (overlapping shards, misplaced

@@ -141,13 +141,6 @@ foldAnytime(const Samples &samples,
 
 LivePointLibrary
 LivePointLibrary::build(SimSession &session,
-                        const SamplingConfig &config)
-{
-    return build(session, config, PointSink{});
-}
-
-LivePointLibrary
-LivePointLibrary::build(SimSession &session,
                         const SamplingConfig &config,
                         const PointSink &sink)
 {

@@ -8,34 +8,6 @@
 
 namespace smarts::core {
 
-namespace {
-
-/**
- * One slice of the grid walked in detail on a solo session — the body
- * of run(), of every shard and of the distributed runner's shard job,
- * so no execution path can drift from the serial semantics. @p tick
- * fires at every iteration start; false abandons the slice (partial
- * result, not publishable — the tail is skipped too).
- */
-SliceResult
-runSliceRange(SimSession &session, const SamplingConfig &config,
-              std::uint64_t startIdx, std::uint64_t maxUnits,
-              bool runTail, const ProgressTick &tick = {})
-{
-    SliceResult r;
-    detail::walkSchedule(
-        session, config, startIdx, maxUnits, runTail,
-        [&tick](std::uint64_t) { return !tick || tick(); },
-        detail::noSnapshot,
-        [&](std::uint64_t length, bool isUnit) {
-            return detail::measureWindow(session, r, length, isUnit);
-        });
-    r.endPos = session.instCount();
-    return r;
-}
-
-} // namespace
-
 std::string
 SamplingConfig::validate() const
 {
@@ -52,9 +24,17 @@ SystematicSampler::runSlice(SimSession &session,
                             const ShardSpec &shard,
                             const ProgressTick &tick) const
 {
-    return runSliceRange(session, config_, shard.firstUnitIndex,
-                         shard.runsTail ? ~0ull : shard.unitCount,
-                         shard.runsTail, tick);
+    SliceResult r;
+    detail::walkSchedule(
+        session, config_, shard.firstUnitIndex,
+        shard.runsTail ? ~0ull : shard.unitCount, shard.runsTail,
+        [&tick](std::uint64_t) { return !tick || tick(); },
+        detail::noSnapshot,
+        [&](std::uint64_t length, bool isUnit) {
+            return detail::measureWindow(session, r, length, isUnit);
+        });
+    r.endPos = session.instCount();
+    return r;
 }
 
 void
@@ -85,8 +65,7 @@ SmartsEstimate
 SystematicSampler::run(SimSession &session) const
 {
     SmartsEstimate est;
-    foldSlice(est, runSliceRange(session, config_, config_.offset,
-                                 ~0ull, /*runTail=*/true));
+    foldSlice(est, runSlice(session, wholeGrid(config_)));
     return est;
 }
 

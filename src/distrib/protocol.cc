@@ -138,26 +138,6 @@ readMachine(util::BinaryReader &in)
     return c;
 }
 
-void
-writeShard(util::BinaryWriter &out, const core::ShardSpec &shard)
-{
-    out.u64(shard.firstUnitIndex);
-    out.u64(shard.unitCount);
-    out.u64(shard.resumePos);
-    out.u8(shard.runsTail ? 1 : 0);
-}
-
-core::ShardSpec
-readShard(util::BinaryReader &in)
-{
-    core::ShardSpec shard;
-    shard.firstUnitIndex = in.u64();
-    shard.unitCount = in.u64();
-    shard.resumePos = in.u64();
-    shard.runsTail = in.u8() != 0;
-    return shard;
-}
-
 /** A process-unique temp name next to @p path (atomic-publish
  *  discipline, docs/distributed-runners.md § Atomicity). */
 std::string
@@ -474,7 +454,7 @@ JobManifest::serialize(util::BinaryWriter &out) const
     out.u8(static_cast<std::uint8_t>(mode));
     out.u64(plan.size());
     for (const core::ShardSpec &shard : plan)
-        writeShard(out, shard);
+        shard.write(out);
     out.u64(totalUnits);
     out.u64(ranges.size());
     for (const UnitRange &r : ranges)
@@ -545,9 +525,9 @@ JobManifest::load(const std::string &path, std::string *error)
     if (shardCount > in.remaining())
         return refuse(log::format(path, " is corrupt (shard count ",
                                   shardCount, ")"));
-    m.plan.reserve(shardCount);
-    for (std::uint64_t s = 0; s < shardCount; ++s)
-        m.plan.push_back(readShard(in));
+    m.plan.resize(shardCount);
+    for (core::ShardSpec &shard : m.plan)
+        shard.read(in);
 
     m.totalUnits = in.u64();
     const std::uint64_t rangeCount = in.u64();
@@ -644,7 +624,7 @@ ShardResult::serialize(util::BinaryWriter &out) const
     out.u32(shardIndex);
     writeRange(out, range);
     key.write(out);
-    writeShard(out, shard);
+    shard.write(out);
     out.u64(slice.measured);
     out.u64(slice.warmed);
     out.u64(slice.dropped);
@@ -706,7 +686,7 @@ parseResult(const std::string &path, ShardResult &r,
     r.shardIndex = in.u32();
     r.range = readRange(in);
     r.key = core::LibraryKey::read(in);
-    r.shard = readShard(in);
+    r.shard.read(in);
     r.slice.measured = in.u64();
     r.slice.warmed = in.u64();
     r.slice.dropped = in.u64();

@@ -9,52 +9,6 @@
 
 namespace smarts::mp {
 
-namespace {
-
-/**
- * One slice of the round grid walked in detail on a co-run — the
- * body of run() and of every shard, so no path can drift from the
- * serial semantics. Every program observes the same U-round
- * (= U-instruction) window, in both worlds.
- */
-MixSliceResult
-runMixSliceRange(MixSession &session,
-                 const core::SamplingConfig &config,
-                 std::uint64_t startIdx, std::uint64_t maxUnits,
-                 bool runTail)
-{
-    MixSliceResult r;
-    core::detail::walkSchedule(
-        session, config, startIdx, maxUnits, runTail,
-        core::detail::keepWalking, core::detail::noSnapshot,
-        [&](std::uint64_t length, bool isUnit) {
-            const MixSegment seg = session.detailedRun(length);
-            core::detail::bookWindow(r, seg.rounds, length, isUnit, [&] {
-                const double u = static_cast<double>(length);
-                MixUnitObservation o;
-                o.per.resize(session.programCount());
-                for (std::size_t p = 0; p < o.per.size(); ++p) {
-                    const MixLaneSegment &ls = seg.per[p];
-                    MixLaneObservation &lo = o.per[p];
-                    lo.coCpi = static_cast<double>(ls.coCycles) / u;
-                    lo.coEpi = ls.coEnergyNj / u;
-                    lo.soloCpi = static_cast<double>(ls.soloCycles) / u;
-                    lo.soloEpi = ls.soloEnergyNj / u;
-                    lo.sharedAccesses = ls.sharedAccesses;
-                    lo.sharedMisses = ls.sharedMisses;
-                    lo.shadowAccesses = ls.shadowAccesses;
-                    lo.shadowMisses = ls.shadowMisses;
-                }
-                r.obs.push_back(std::move(o));
-            });
-            return seg.rounds;
-        });
-    r.endPos = session.roundCount();
-    return r;
-}
-
-} // namespace
-
 MixSampler::MixSampler(const WorkloadMix &mix,
                        const uarch::MachineConfig &machine,
                        const core::SamplingConfig &sampling)
@@ -126,10 +80,37 @@ MixSliceResult
 MixSampler::runSlice(MixSession &session,
                      const core::ShardSpec &shard) const
 {
-    return runMixSliceRange(session, sampling_,
-                            shard.firstUnitIndex,
-                            shard.runsTail ? ~0ull : shard.unitCount,
-                            shard.runsTail);
+    // Every program observes the same U-round (= U-instruction)
+    // window, in both worlds.
+    MixSliceResult r;
+    core::detail::walkSchedule(
+        session, sampling_, shard.firstUnitIndex,
+        shard.runsTail ? ~0ull : shard.unitCount, shard.runsTail,
+        core::detail::keepWalking, core::detail::noSnapshot,
+        [&](std::uint64_t length, bool isUnit) {
+            const MixSegment seg = session.detailedRun(length);
+            core::detail::bookWindow(r, seg.rounds, length, isUnit, [&] {
+                const double u = static_cast<double>(length);
+                MixUnitObservation o;
+                o.per.resize(session.programCount());
+                for (std::size_t p = 0; p < o.per.size(); ++p) {
+                    const MixLaneSegment &ls = seg.per[p];
+                    MixLaneObservation &lo = o.per[p];
+                    lo.coCpi = static_cast<double>(ls.coCycles) / u;
+                    lo.coEpi = ls.coEnergyNj / u;
+                    lo.soloCpi = static_cast<double>(ls.soloCycles) / u;
+                    lo.soloEpi = ls.soloEnergyNj / u;
+                    lo.sharedAccesses = ls.sharedAccesses;
+                    lo.sharedMisses = ls.sharedMisses;
+                    lo.shadowAccesses = ls.shadowAccesses;
+                    lo.shadowMisses = ls.shadowMisses;
+                }
+                r.obs.push_back(std::move(o));
+            });
+            return seg.rounds;
+        });
+    r.endPos = session.roundCount();
+    return r;
 }
 
 MixEstimate
@@ -137,9 +118,7 @@ MixSampler::run() const
 {
     MixSession session = makeSession();
     MixEstimate est = emptyEstimate();
-    foldSlice(est,
-              runMixSliceRange(session, sampling_, sampling_.offset,
-                               ~0ull, /*runTail=*/true));
+    foldSlice(est, runSlice(session, core::wholeGrid(sampling_)));
     return est;
 }
 
